@@ -522,6 +522,68 @@ TEST(Engine, CachedPolicyMatchesHostCounts) {
   EXPECT_GT(t.cache_misses, 0u);
 }
 
+// Golden pins of the work one batch charges under each policy family: the
+// kernel's op counts are the simulated kernel, so a refactor of the match
+// loop must leave them byte-identical, not only the embedding counts.
+// zero_copy_bytes is left out: it depends on where malloc put each list.
+TEST(Engine, GoldenChargedWorkPinned) {
+  Rng rng(606);
+  const CsrGraph g = generate_barabasi_albert(300, 4, 2, rng);
+  UpdateStreamOptions opt;
+  opt.pool_edge_count = 150;
+  opt.batch_size = 150;
+  opt.seed = 607;
+  const UpdateStream stream = make_update_stream(g, opt);
+  const EdgeBatch& batch = stream.batches[0];
+  DynamicGraph dyn(stream.initial);
+  dyn.apply_batch(batch);
+  gpusim::SimtExecutor exec(3);
+  MatchEngine engine(with_round_robin_labels(make_pattern(2), 2), exec);
+
+  gpusim::Device device;
+  gpusim::TrafficCounters build_counters;
+  DcsrCache cache;
+  std::vector<VertexId> some;
+  for (VertexId v = 0; v < dyn.num_vertices(); v += 3) some.push_back(v);
+  cache.build(dyn, some, 1 << 24, device, build_counters);
+  const gpusim::SimParams params;
+  HostPolicy host(dyn);
+  ZeroCopyPolicy zero_copy(dyn, params);
+  CachedPolicy cached(dyn, cache, params);
+
+  struct Pin {
+    AccessPolicy* policy;
+    std::uint64_t compute_ops;
+    std::uint64_t host_ops;
+    std::uint64_t cache_hits;
+    std::uint64_t cache_misses;
+  };
+  const Pin pins[] = {
+      {&host, 0, 208266, 0, 0},
+      {&zero_copy, 132368, 0, 0, 0},
+      {&cached, 132368, 0, 945, 2432},
+  };
+  for (const Pin& pin : pins) {
+    gpusim::TrafficCounters c;
+    const MatchStats stats = engine.match_batch(dyn, batch, *pin.policy, c);
+    EXPECT_EQ(stats.signed_embeddings, 168);
+    EXPECT_EQ(stats.positive, 376u);
+    EXPECT_EQ(stats.seeds, 520u);
+    const gpusim::Traffic t = c.snapshot();
+    EXPECT_EQ(t.compute_ops, pin.compute_ops);
+    EXPECT_EQ(t.host_ops, pin.host_ops);
+    EXPECT_EQ(t.cache_hits, pin.cache_hits);
+    EXPECT_EQ(t.cache_misses, pin.cache_misses);
+  }
+
+  // The static (Fig. 2a) path charges its seed scan too.
+  gpusim::TrafficCounters c;
+  const MatchStats full = engine.match_full(dyn, host, c);
+  EXPECT_EQ(full.positive, 768u);
+  EXPECT_EQ(full.seeds, 582u);
+  EXPECT_EQ(c.snapshot().host_ops, 94605u);
+}
+
 // --------------------------------------------------- RapidFlow-like -------
 
 TEST(RapidFlowLike, MatchesEngineCounts) {

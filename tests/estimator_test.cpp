@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -225,6 +226,50 @@ TEST(Estimator, DefaultWalksHonorsCostCap) {
   const std::uint64_t m = FrequencyEstimator::default_num_walks(
       4096, 10000, 7, 1, ~0ull >> 1);
   EXPECT_EQ(m, 4096ull * 10000 / 4);
+}
+
+// FNV-1a over the bit pattern of every entry, so a pin on it pins the exact
+// doubles, not an approximation.
+std::uint64_t bit_digest(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const double v : values) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Golden pins of both estimators on one fixed seed: the charged ops, the
+// sampled tree size and the exact frequency vector. A change to the
+// candidate step, the bind check, the seed order or the RNG draw order
+// moves at least one of them.
+TEST(Estimator, GoldenMergedAndIndependentPinned) {
+  Rng gen(404);
+  const CsrGraph base = generate_barabasi_albert(300, 4, 2, gen);
+  UpdateStreamOptions opt;
+  opt.pool_edge_count = 96;
+  opt.batch_size = 96;
+  opt.seed = 405;
+  const UpdateStream stream = make_update_stream(base, opt);
+  DynamicGraph graph(stream.initial);
+  graph.apply_batch(stream.batches[0]);
+  const FrequencyEstimator est(with_round_robin_labels(make_pattern(2), 2),
+                               {.num_walks = 4096});
+
+  Rng r1(7);
+  const EstimateResult merged = est.estimate(graph, stream.batches[0], r1);
+  EXPECT_EQ(merged.walks, 4096u);
+  EXPECT_EQ(merged.nodes_visited, 748u);
+  EXPECT_EQ(merged.ops, 54439u);
+  EXPECT_EQ(bit_digest(merged.frequency), 2086026389087513363ull);
+
+  Rng r2(7);
+  const EstimateResult indep =
+      est.estimate_independent(graph, stream.batches[0], r2);
+  EXPECT_EQ(indep.walks, 4096u);
+  EXPECT_EQ(indep.nodes_visited, 29368u);
+  EXPECT_EQ(indep.ops, 1278082u);
+  EXPECT_EQ(bit_digest(indep.frequency), 16918750397418892051ull);
 }
 
 TEST(Estimator, EmptyBatchYieldsZeroEstimate) {

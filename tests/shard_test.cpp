@@ -101,9 +101,23 @@ ShardedEngineOptions sharded_options(EngineKind kind, std::size_t shards,
   return opt;
 }
 
-// Per-batch, per-query reference counts from the single-device engine.
+// The match work one batch charges to the cost model, summed over queries
+// (single device) or over shards (sharded).
+struct ChargedOps {
+  std::uint64_t compute_ops = 0;
+  std::uint64_t host_ops = 0;
+
+  void add(const gpusim::Traffic& t) {
+    compute_ops += t.compute_ops;
+    host_ops += t.host_ops;
+  }
+};
+
+// Per-batch, per-query reference counts from the single-device engine, and
+// (when `ops` is set) the per-batch charged ops summed over queries.
 std::vector<std::vector<MatchStats>> reference_counts(
-    EngineKind kind, const StreamFixture& f, std::size_t num_batches) {
+    EngineKind kind, const StreamFixture& f, std::size_t num_batches,
+    std::vector<ChargedOps>* ops = nullptr) {
   MultiQueryEngine engine(f.stream.initial, reference_options(kind));
   for (const QueryGraph& q : two_patterns()) {
     engine.register_query(q);
@@ -113,16 +127,24 @@ std::vector<std::vector<MatchStats>> reference_counts(
     const server::ServerBatchReport r =
         engine.process_batch(f.stream.batches[k]);
     std::vector<MatchStats> per_query;
-    for (const auto& qr : r.queries) per_query.push_back(qr.report.stats);
+    ChargedOps charged;
+    for (const auto& qr : r.queries) {
+      per_query.push_back(qr.report.stats);
+      charged.add(qr.report.traffic);
+    }
     out.push_back(per_query);
+    if (ops != nullptr) ops->push_back(charged);
   }
   return out;
 }
 
+// With `want_ops` set, also asserts that the shards together charge exactly
+// the single-device ops per batch: the routed kernel does the same work,
+// only on other devices.
 void expect_sharded_matches_reference(
     EngineKind kind, std::size_t shards, PartitionStrategy strategy,
     const StreamFixture& f, const std::vector<std::vector<MatchStats>>& want,
-    FaultInjector* faults) {
+    FaultInjector* faults, const std::vector<ChargedOps>* want_ops = nullptr) {
   ShardedEngineOptions opt = sharded_options(kind, shards, strategy);
   opt.fault_injector = faults;
   ShardedMatchEngine engine(f.stream.initial, opt);
@@ -149,6 +171,15 @@ void expect_sharded_matches_reference(
     }
     EXPECT_EQ(got.shared.stats.signed_embeddings, sum_signed)
         << "aggregate != sum of per-query counts at batch " << k;
+    if (want_ops == nullptr) continue;
+    ChargedOps charged;
+    for (const BatchReport& sr : got.shards) charged.add(sr.traffic);
+    EXPECT_EQ(charged.compute_ops, (*want_ops)[k].compute_ops)
+        << engine_kind_name(kind) << " shards=" << shards << " "
+        << partition_strategy_name(strategy) << " batch " << k;
+    EXPECT_EQ(charged.host_ops, (*want_ops)[k].host_ops)
+        << engine_kind_name(kind) << " shards=" << shards << " "
+        << partition_strategy_name(strategy) << " batch " << k;
   }
 }
 
@@ -159,12 +190,13 @@ TEST(Shard, BitIdenticalToSingleDeviceAllKindsCounts) {
   const StreamFixture f(23);
   const std::size_t batches = 2;
   for (const EngineKind kind : kAllKinds) {
+    std::vector<ChargedOps> want_ops;
     const std::vector<std::vector<MatchStats>> want =
-        reference_counts(kind, f, batches);
+        reference_counts(kind, f, batches, &want_ops);
     for (const std::size_t shards : kShardCounts) {
       for (const PartitionStrategy strategy : kStrategies) {
         expect_sharded_matches_reference(kind, shards, strategy, f, want,
-                                         nullptr);
+                                         nullptr, &want_ops);
       }
     }
   }
