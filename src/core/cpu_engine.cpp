@@ -1,144 +1,20 @@
 #include "core/cpu_engine.hpp"
 
-#include <mutex>
-
-#include "core/intersect.hpp"
-#include "core/list_ref.hpp"
+#include "core/match_kernel.hpp"
 #include "util/timer.hpp"
 
 namespace gcsm {
 namespace {
 
-struct WorkerScratch {
-  std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
-  std::array<std::uint32_t, kMaxQueryVertices> cursor{};
-  std::vector<VertexId> tmp;
-  MatchStats stats;
-  double busy_seconds = 0.0;
-};
-
-// Charges intersection/materialization work to the right side of the cost
-// model: SIMT compute for device policies, host ops for CPU policies.
-void charge_ops(AccessPolicy& policy, gpusim::TrafficCounters& counters,
-                std::uint64_t ops) {
-  if (policy.on_device()) {
-    counters.add_compute(ops);
-  } else {
-    counters.add_host(ops, 0);
-  }
-}
-
-// Computes the candidate buffer for `level` of `plan` given the bindings so
-// far. Returns false if the candidate set is empty.
-bool compute_candidates(const MatchPlan& plan, std::uint32_t level,
-                        const std::array<VertexId, kMaxQueryVertices>& bound,
-                        AccessPolicy& policy,
-                        gpusim::TrafficCounters& counters,
-                        WorkerScratch& scratch) {
-  const PlanLevel& pl = plan.levels[level];
-  auto& out = scratch.cand[level];
-  out.clear();
-  std::uint64_t ops = 0;
-
-  const auto& c0 = pl.constraints[0];
-  const NeighborView v0 = policy.fetch(bound[c0.order_pos], c0.view, counters);
-  materialize_view(v0, out);
-  ops += out.size();
-
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    const NeighborView vi = policy.fetch(bound[c.order_pos], c.view, counters);
-    scratch.tmp.clear();
-    materialize_view(vi, scratch.tmp);
-    ops += scratch.tmp.size();
-    ops += intersect_into(out, scratch.tmp.data(), scratch.tmp.size());
-  }
-  charge_ops(policy, counters, ops);
-  return !out.empty();
-}
-
-class SinkLock {
- public:
-  explicit SinkLock(const MatchSink* sink) : sink_(sink) {}
-  void emit(const MatchPlan& plan,
-            std::span<const VertexId> binding, int sign) {
-    if (sink_ == nullptr) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    (*sink_)(plan, binding, sign);
-  }
-
- private:
-  const MatchSink* sink_;
-  std::mutex mu_;
-};
-
-// Explicit-stack DFS from one bound seed edge (the STMatch kernel shape).
+// One seed pair's whole subtree, on this device.
 void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
                     const DynamicGraph& graph, VertexId xa, VertexId xb,
-                    int sign, AccessPolicy& policy,
-                    gpusim::TrafficCounters& counters, WorkerScratch& scratch,
-                    SinkLock& sink, const CandidateFilter* filter) {
-  const std::uint32_t num_levels = plan.num_levels();
-  std::array<VertexId, kMaxQueryVertices> bound{};
-  bound[0] = xa;
-  bound[1] = xb;
+                    int sign, const kernel::PolicyFetch& fetch,
+                    kernel::WorkerScratch& scratch, kernel::SinkLock& sink,
+                    const CandidateFilter* filter) {
   ++scratch.stats.seeds;
-
-  auto emit = [&](std::uint32_t depth) {
-    scratch.stats.signed_embeddings += sign;
-    if (sign > 0) {
-      ++scratch.stats.positive;
-    } else {
-      ++scratch.stats.negative;
-    }
-    sink.emit(plan, std::span<const VertexId>(bound.data(), depth), sign);
-  };
-
-  if (num_levels == 0) {
-    emit(2);
-    return;
-  }
-
-  std::int32_t level = 0;
-  if (!compute_candidates(plan, 0, bound, policy, counters, scratch)) return;
-  scratch.cursor[0] = 0;
-
-  while (level >= 0) {
-    auto& cand = scratch.cand[level];
-    auto& cur = scratch.cursor[level];
-    if (cur >= cand.size()) {
-      --level;
-      continue;
-    }
-    const VertexId v = cand[cur++];
-    const PlanLevel& pl = plan.levels[level];
-
-    // Label, injectivity, and optional index filters at bind time.
-    if (!query.label_matches(pl.query_vertex, graph.label(v))) continue;
-    bool duplicate = false;
-    const std::uint32_t bound_count = 2 + static_cast<std::uint32_t>(level);
-    for (std::uint32_t i = 0; i < bound_count; ++i) {
-      if (bound[i] == v) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    if (filter != nullptr && !filter->admits(pl.query_vertex, v)) continue;
-
-    bound[bound_count] = v;
-    if (static_cast<std::uint32_t>(level) + 1 == num_levels) {
-      emit(bound_count + 1);
-      continue;
-    }
-    ++level;
-    if (!compute_candidates(plan, static_cast<std::uint32_t>(level), bound,
-                            policy, counters, scratch)) {
-      --level;
-      continue;
-    }
-    scratch.cursor[level] = 0;
-  }
+  kernel::enumerate(query, plan, graph, {xa, xb}, 0, sign, fetch, scratch,
+                    sink, filter);
 }
 
 }  // namespace
@@ -167,46 +43,32 @@ MatchStats MatchEngine::match_batch_with_plans(
     gpusim::TrafficCounters& counters, const MatchSink* sink,
     const CandidateFilter* filter,
     std::vector<double>* per_block_busy_seconds) {
-  // Work item space: plan x batch edge x orientation, flattened so work
-  // stealing balances hot seed edges across blocks.
-  const std::size_t per_plan = batch.updates.size() * 2;
-  const std::size_t total = plans.size() * per_plan;
+  std::vector<kernel::WorkerScratch> scratch(executor_.num_blocks());
+  kernel::SinkLock sink_lock(sink);
+  const kernel::PolicyFetch fetch{policy, counters};
+  if (per_block_busy_seconds != nullptr) {
+    per_block_busy_seconds->assign(executor_.num_blocks(), 0.0);
+  }
 
-  std::vector<WorkerScratch> scratch(executor_.num_blocks());
-  SinkLock sink_lock(sink);
-
-  const bool record_busy = per_block_busy_seconds != nullptr;
-  executor_.for_each_item(total, grain_, [&](std::size_t item,
-                                             std::size_t block) {
-    const std::size_t plan_idx = item / per_plan;
-    const std::size_t rest = item % per_plan;
-    const EdgeUpdate& e = batch.updates[rest / 2];
-    const bool swap = (rest % 2) != 0;
-    const VertexId xa = swap ? e.v : e.u;
-    const VertexId xb = swap ? e.u : e.v;
-    const MatchPlan& plan = plans[plan_idx];
-
-    // ΔR_i: the update edge must match the seed query edge's labels.
-    if (!query_.label_matches(plan.seed_a, graph.label(xa))) return;
-    if (!query_.label_matches(plan.seed_b, graph.label(xb))) return;
-    if (filter != nullptr && (!filter->admits(plan.seed_a, xa) ||
-                              !filter->admits(plan.seed_b, xb))) {
-      return;
-    }
-    Timer seed_timer;
-    enumerate_seed(query_, plan, graph, xa, xb, e.sign, policy, counters,
-                   scratch[block], sink_lock, filter);
-    if (record_busy) scratch[block].busy_seconds += seed_timer.seconds();
-  });
+  executor_.for_each_item(
+      kernel::num_seed_items(plans.size(), batch), grain_,
+      [&](std::size_t item, std::size_t block) {
+        const kernel::SeedItem seed = kernel::decode_seed_item(item, batch);
+        const MatchPlan& plan = plans[seed.plan];
+        if (!kernel::seed_admits(query_, plan, graph, seed.xa, seed.xb,
+                                 filter)) {
+          return;
+        }
+        const Timer seed_timer;
+        enumerate_seed(query_, plan, graph, seed.xa, seed.xb, seed.sign,
+                       fetch, scratch[block], sink_lock, filter);
+        if (per_block_busy_seconds != nullptr) {
+          (*per_block_busy_seconds)[block] += seed_timer.seconds();
+        }
+      });
 
   MatchStats stats;
-  for (const WorkerScratch& s : scratch) stats += s.stats;
-  if (per_block_busy_seconds != nullptr) {
-    per_block_busy_seconds->clear();
-    for (const WorkerScratch& s : scratch) {
-      per_block_busy_seconds->push_back(s.busy_seconds);
-    }
-  }
+  for (const kernel::WorkerScratch& s : scratch) stats += s.stats;
   return stats;
 }
 
@@ -214,32 +76,25 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
                                    AccessPolicy& policy,
                                    gpusim::TrafficCounters& counters,
                                    const MatchSink* sink) {
-  std::vector<WorkerScratch> scratch(executor_.num_blocks());
-  SinkLock sink_lock(sink);
-  const MatchPlan& plan = static_plan_;
+  std::vector<kernel::WorkerScratch> scratch(executor_.num_blocks());
+  kernel::SinkLock sink_lock(sink);
+  const kernel::PolicyFetch fetch{policy, counters};
 
+  // Every ordered pair (xa, xb) is its own seed, so both orientations are
+  // covered.
   executor_.for_each_item(
       static_cast<std::size_t>(graph.num_vertices()), grain_ * 16,
       [&](std::size_t item, std::size_t block) {
         const auto xa = static_cast<VertexId>(item);
-        if (!query_.label_matches(plan.seed_a, graph.label(xa))) return;
-        // Scan xa's live neighbors as seed targets (both orientations are
-        // covered because every ordered pair (xa, xb) is its own item).
-        WorkerScratch& s = scratch[block];
-        const NeighborView view = policy.fetch(xa, ViewMode::kNew, counters);
-        s.tmp.clear();
-        materialize_view(view, s.tmp);
-        charge_ops(policy, counters, s.tmp.size());
-        std::vector<VertexId> seeds = s.tmp;  // tmp is reused downstream
-        for (const VertexId xb : seeds) {
-          if (!query_.label_matches(plan.seed_b, graph.label(xb))) continue;
-          enumerate_seed(query_, plan, graph, xa, xb, +1, policy, counters,
-                         s, sink_lock, nullptr);
-        }
+        kernel::scan_static_seeds(
+            query_, static_plan_, graph, xa, fetch, [&](VertexId xb) {
+              enumerate_seed(query_, static_plan_, graph, xa, xb, +1, fetch,
+                             scratch[block], sink_lock, nullptr);
+            });
       });
 
   MatchStats stats;
-  for (const WorkerScratch& s : scratch) stats += s.stats;
+  for (const kernel::WorkerScratch& s : scratch) stats += s.stats;
   return stats;
 }
 

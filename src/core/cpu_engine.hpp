@@ -6,11 +6,9 @@
 // fairness setup ("all the GPU versions use the same GPU kernel adapted from
 // STMatch").
 //
-// Mechanics per seed edge, following STMatch: an explicit per-worker stack
-// of candidate buffers (no recursion), one level per pattern vertex beyond
-// the seed pair; candidates are produced by multi-way sorted intersection of
-// the constraint views; injectivity and label checks filter at bind time.
-// Work items (seed edges) are distributed across workers by work stealing.
+// The per-seed mechanics (STMatch's explicit-stack DFS) live in the shared
+// match kernel, core/match_kernel.hpp; this engine distributes its work
+// items (seed edges) across workers by work stealing.
 #pragma once
 
 #include <array>

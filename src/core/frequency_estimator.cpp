@@ -4,12 +4,38 @@
 #include <array>
 #include <cmath>
 
-#include "core/intersect.hpp"
-#include "core/list_ref.hpp"
+#include "core/match_kernel.hpp"
 #include "util/binomial.hpp"
 
 namespace gcsm {
 namespace {
+
+// The estimator reads lists straight from the graph: its cost is the op
+// count it reports, not traffic.
+struct GraphFetch {
+  const DynamicGraph& graph;
+  NeighborView operator()(VertexId v, ViewMode mode) const {
+    return graph.view(v, mode);
+  }
+};
+
+// The directed batch edges that can seed `plan`, in the matcher's work-item
+// order (each record, then its reverse).
+std::vector<std::pair<VertexId, VertexId>> plan_seeds(
+    const QueryGraph& query, const MatchPlan& plan, const DynamicGraph& graph,
+    const EdgeBatch& batch) {
+  std::vector<std::pair<VertexId, VertexId>> seeds;
+  seeds.reserve(batch.updates.size() * 2);
+  for (const EdgeUpdate& e : batch.updates) {
+    if (kernel::seed_admits(query, plan, graph, e.u, e.v, nullptr)) {
+      seeds.emplace_back(e.u, e.v);
+    }
+    if (kernel::seed_admits(query, plan, graph, e.v, e.u, nullptr)) {
+      seeds.emplace_back(e.v, e.u);
+    }
+  }
+  return seeds;
+}
 
 struct WalkState {
   const QueryGraph* query = nullptr;
@@ -20,7 +46,7 @@ struct WalkState {
   double inv_degree = 0.0;  // 1/D
   std::uint64_t nodes = 0;
   std::uint64_t ops = 0;
-  std::array<VertexId, kMaxQueryVertices> bound{};
+  kernel::Binding bound{};
   std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
   std::vector<VertexId> tmp;
 };
@@ -43,32 +69,16 @@ void walk_extend(WalkState& st, std::uint32_t level, std::uint64_t walks,
   }
 
   // Compute the candidate set V exactly as the matcher would.
-  auto& out = st.cand[level];
-  out.clear();
-  const auto& c0 = pl.constraints[0];
-  materialize_view(st.graph->view(st.bound[c0.order_pos], c0.view), out);
-  st.ops += out.size();
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    st.tmp.clear();
-    materialize_view(st.graph->view(st.bound[c.order_pos], c.view), st.tmp);
-    st.ops += st.tmp.size();
-    st.ops += intersect_into(out, st.tmp.data(), st.tmp.size());
-  }
+  std::vector<VertexId>& out = st.cand[level];
+  st.ops += kernel::candidate_step(pl, st.bound, GraphFetch{*st.graph}, out,
+                                   st.tmp);
 
   const std::uint32_t bound_count = 2 + level;
   for (const VertexId v : out) {
-    if (!st.query->label_matches(pl.query_vertex, st.graph->label(v))) {
+    if (!kernel::bindable(*st.query, *st.graph, pl, v, st.bound, bound_count,
+                          nullptr)) {
       continue;
     }
-    bool duplicate = false;
-    for (std::uint32_t i = 0; i < bound_count; ++i) {
-      if (st.bound[i] == v) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
     const std::uint64_t child_walks = binomial(*st.rng, walks, st.inv_degree);
     ++st.ops;
     if (child_walks == 0) continue;
@@ -114,21 +124,10 @@ EstimateResult FrequencyEstimator::estimate(const DynamicGraph& graph,
   st.inv_degree = 1.0 / static_cast<double>(max_degree);
 
   for (const MatchPlan& plan : plans_) {
-    // Seed candidates for this plan: directed batch edges whose endpoint
-    // labels match the seed query edge. The seed loop samples each with
-    // probability 1/S and reweights by S.
-    std::vector<std::pair<VertexId, VertexId>> seeds;
-    seeds.reserve(batch.updates.size() * 2);
-    for (const EdgeUpdate& e : batch.updates) {
-      if (query_.label_matches(plan.seed_a, graph.label(e.u)) &&
-          query_.label_matches(plan.seed_b, graph.label(e.v))) {
-        seeds.emplace_back(e.u, e.v);
-      }
-      if (query_.label_matches(plan.seed_a, graph.label(e.v)) &&
-          query_.label_matches(plan.seed_b, graph.label(e.u))) {
-        seeds.emplace_back(e.v, e.u);
-      }
-    }
+    // The seed loop samples each seed with probability 1/S and reweights
+    // by S.
+    const std::vector<std::pair<VertexId, VertexId>> seeds =
+        plan_seeds(query_, plan, graph, batch);
     if (seeds.empty()) continue;
     const double s = static_cast<double>(seeds.size());
     st.plan = &plan;
@@ -170,19 +169,10 @@ EstimateResult FrequencyEstimator::estimate_independent(
   std::vector<std::vector<std::pair<VertexId, VertexId>>> seeds(
       plans_.size());
   for (std::size_t p = 0; p < plans_.size(); ++p) {
-    for (const EdgeUpdate& e : batch.updates) {
-      if (query_.label_matches(plans_[p].seed_a, graph.label(e.u)) &&
-          query_.label_matches(plans_[p].seed_b, graph.label(e.v))) {
-        seeds[p].emplace_back(e.u, e.v);
-      }
-      if (query_.label_matches(plans_[p].seed_a, graph.label(e.v)) &&
-          query_.label_matches(plans_[p].seed_b, graph.label(e.u))) {
-        seeds[p].emplace_back(e.v, e.u);
-      }
-    }
+    seeds[p] = plan_seeds(query_, plans_[p], graph, batch);
   }
 
-  std::array<VertexId, kMaxQueryVertices> bound{};
+  kernel::Binding bound{};
   std::vector<VertexId> cand;
   std::vector<VertexId> tmp;
   for (std::size_t p = 0; p < plans_.size(); ++p) {
@@ -202,35 +192,14 @@ EstimateResult FrequencyEstimator::estimate_independent(
         for (const BackwardConstraint& c : pl.constraints) {
           result.frequency[bound[c.order_pos]] += weight;
         }
-        cand.clear();
-        const auto& c0 = pl.constraints[0];
-        materialize_view(graph.view(bound[c0.order_pos], c0.view), cand);
-        result.ops += cand.size();
-        for (std::size_t i = 1; i < pl.constraints.size() && !cand.empty();
-             ++i) {
-          const auto& c = pl.constraints[i];
-          tmp.clear();
-          materialize_view(graph.view(bound[c.order_pos], c.view), tmp);
-          result.ops += tmp.size();
-          result.ops += intersect_into(cand, tmp.data(), tmp.size());
-        }
+        result.ops +=
+            kernel::candidate_step(pl, bound, GraphFetch{graph}, cand, tmp);
         // Filter to valid matching vertices.
-        std::size_t wpos = 0;
         const std::uint32_t bound_count = 2 + level;
-        for (const VertexId v : cand) {
-          if (!query_.label_matches(pl.query_vertex, graph.label(v))) {
-            continue;
-          }
-          bool dup = false;
-          for (std::uint32_t i = 0; i < bound_count; ++i) {
-            if (bound[i] == v) {
-              dup = true;
-              break;
-            }
-          }
-          if (!dup) cand[wpos++] = v;
-        }
-        cand.resize(wpos);
+        std::erase_if(cand, [&](VertexId v) {
+          return !kernel::bindable(query_, graph, pl, v, bound, bound_count,
+                                   nullptr);
+        });
         if (cand.empty()) break;
         // Continue with probability |V|/D, child uniform in V.
         if (!rng.bernoulli(static_cast<double>(cand.size()) / d)) break;

@@ -50,8 +50,11 @@ class FrequencyEstimator {
                               EstimatorOptions options = {});
 
   // Estimates access frequency for matching `batch` against `graph` (which
-  // must already have the batch applied, pre-reorganization, so that OLD and
-  // NEW views are both visible — the same state the matcher will see).
+  // should already have the batch applied, pre-reorganization, so that OLD
+  // and NEW views are both visible — the same state the matcher will see).
+  // The pipelined schedule estimates before the apply, which only changes
+  // cache content; records naming vertices the graph does not hold yet are
+  // then skipped.
   //
   // `walk_scale` multiplies the resolved walk count M (clamped to keep at
   // least one walk). The overload controller's degradation ladder shrinks it

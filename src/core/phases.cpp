@@ -1,6 +1,7 @@
 #include "core/phases.hpp"
 
 #include "core/gpu_engine.hpp"
+#include "util/check.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -22,6 +23,29 @@ const char* engine_kind_name(EngineKind kind) {
       return "CPU";
   }
   return "?";
+}
+
+bool uses_cache(EngineKind kind) {
+  return kind == EngineKind::kGcsm || kind == EngineKind::kNaiveDegree ||
+         kind == EngineKind::kVsgm;
+}
+
+std::unique_ptr<AccessPolicy> make_access_policy(
+    EngineKind kind, const DynamicGraph& graph, const DcsrCache& cache,
+    const gpusim::SimParams& sim) {
+  switch (kind) {
+    case EngineKind::kCpu:
+      return std::make_unique<HostPolicy>(graph);
+    case EngineKind::kZeroCopy:
+      return std::make_unique<ZeroCopyPolicy>(graph, sim);
+    case EngineKind::kUnifiedMemory:
+      return std::make_unique<UnifiedMemoryPolicy>(graph, sim);
+    case EngineKind::kGcsm:
+    case EngineKind::kNaiveDegree:
+    case EngineKind::kVsgm:
+      return std::make_unique<CachedPolicy>(graph, cache, sim);
+  }
+  GCSM_CHECK(false, "unknown engine kind");
 }
 
 PipelineMetrics::PipelineMetrics(std::string prefix)
@@ -173,10 +197,7 @@ void phase_pack(EngineKind kind, DcsrCache& cache, const DynamicGraph& graph,
                 gpusim::TrafficCounters& counters, bool check_invariants,
                 const gpusim::SimParams& sim, const PipelineMetrics& pm,
                 BatchReport& report, bool staged) {
-  const bool uses_cache = kind == EngineKind::kGcsm ||
-                          kind == EngineKind::kNaiveDegree ||
-                          kind == EngineKind::kVsgm;
-  if (!uses_cache) return;
+  if (!uses_cache(kind)) return;
   const trace::Span span(pm.span_pack());
   const Timer t;
   if (!staged) cache.clear();

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,18 @@ enum class EngineKind {
 };
 
 const char* engine_kind_name(EngineKind kind);
+
+// True for the kinds that pack a DCSR cache every batch (GCSM, Naive,
+// VSGM); the others read every list from host memory.
+bool uses_cache(EngineKind kind);
+
+// The access policy that serves `kind`'s match phase over `graph`, reading
+// `cache` for the kinds that use one. UM's policy owns a page cache, so an
+// engine that keeps it warm across batches builds it once and reuses it.
+std::unique_ptr<AccessPolicy> make_access_policy(EngineKind kind,
+                                                 const DynamicGraph& graph,
+                                                 const DcsrCache& cache,
+                                                 const gpusim::SimParams& sim);
 
 // Knobs of the transactional retry / degradation ladder. The defaults favor
 // forward progress: a handful of device retries, then a CPU re-run.

@@ -87,24 +87,6 @@ std::uint64_t Pipeline::effective_cache_budget() const {
   return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
 }
 
-std::unique_ptr<AccessPolicy> Pipeline::make_policy(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kCpu:
-      return std::make_unique<HostPolicy>(graph_);
-    case EngineKind::kZeroCopy:
-      return std::make_unique<ZeroCopyPolicy>(graph_, options_.sim);
-    case EngineKind::kUnifiedMemory:
-      // Returned fresh each call but sharing the persistent page cache via
-      // um_policy_ would double-charge; instead hand out a non-owning view.
-      return nullptr;  // handled specially in process_batch
-    case EngineKind::kGcsm:
-    case EngineKind::kNaiveDegree:
-    case EngineKind::kVsgm:
-      return std::make_unique<CachedPolicy>(graph_, cache_, options_.sim);
-  }
-  GCSM_CHECK(false, "unknown engine kind");
-}
-
 void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
                            bool use_cpu, BatchReport& report) {
   const EngineKind kind = use_cpu ? EngineKind::kCpu : options_.kind;
@@ -131,15 +113,13 @@ void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
              options_.cache_budget_bytes, device_, counters,
              options_.check_invariants, sim, metrics_, report);
 
-  // Step 4: incremental matching.
-  if (kind == EngineKind::kUnifiedMemory) {
-    phase_match(kind, engine_, graph_, batch, *um_policy_, counters, sink,
-                sim, metrics_, report);
-  } else {
-    auto policy = make_policy(kind);
-    phase_match(kind, engine_, graph_, batch, *policy, counters, sink, sim,
-                metrics_, report);
-  }
+  // Step 4: incremental matching. UM keeps its page cache across batches.
+  const std::unique_ptr<AccessPolicy> fresh =
+      kind == EngineKind::kUnifiedMemory
+          ? nullptr
+          : make_access_policy(kind, graph_, cache_, sim);
+  phase_match(kind, engine_, graph_, batch, fresh ? *fresh : *um_policy_,
+              counters, sink, sim, metrics_, report);
 
   // Step 5: reorganize the touched lists on the CPU.
   phase_reorg(graph_, options_.check_invariants, sim, metrics_, report);

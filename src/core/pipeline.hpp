@@ -112,8 +112,6 @@ class Pipeline {
   const RecoveredState& recovery_info() const { return recovery_info_; }
 
  private:
-  std::unique_ptr<AccessPolicy> make_policy(EngineKind kind);
-
   // One transactional attempt at the five steps. `use_cpu` re-runs the
   // batch on the CPU engine regardless of the configured kind.
   void run_attempt(const EdgeBatch& batch, const MatchSink* sink,

@@ -502,10 +502,7 @@ void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
   // Step 1: dynamic graph maintenance — once for every query.
   phase_update(graph_, batch, options_.check_invariants, metrics_, shared);
 
-  const bool uses_cache = options_.kind == EngineKind::kGcsm ||
-                          options_.kind == EngineKind::kNaiveDegree ||
-                          options_.kind == EngineKind::kVsgm;
-  if (drop_cache || !uses_cache) {
+  if (drop_cache || !uses_cache(options_.kind)) {
     // Terminal degradation under the pipelined schedule also clears the
     // previous ACTIVE epoch, so "served zero-copy" means the same thing on
     // both schedules (an empty cache, not a stale one).
@@ -559,27 +556,14 @@ void MultiQueryEngine::match_attempt(QueryState& qs, const EdgeBatch& batch,
   }
   qr.stats = MatchStats{};
   gpusim::TrafficCounters qcounters;
-  std::unique_ptr<AccessPolicy> owned;
-  AccessPolicy* policy = nullptr;
-  switch (kind) {
-    case EngineKind::kCpu:
-      owned = std::make_unique<HostPolicy>(graph_);
-      break;
-    case EngineKind::kZeroCopy:
-      owned = std::make_unique<ZeroCopyPolicy>(graph_, options_.sim);
-      break;
-    case EngineKind::kUnifiedMemory:
-      policy = qs.um_policy.get();
-      break;
-    case EngineKind::kGcsm:
-    case EngineKind::kNaiveDegree:
-    case EngineKind::kVsgm:
-      owned = std::make_unique<CachedPolicy>(graph_, cache_, options_.sim);
-      break;
-  }
-  if (policy == nullptr) policy = owned.get();
-  phase_match(kind, *qs.engine, graph_, batch, *policy, qcounters, sink,
-              options_.sim, *qs.metrics, qr);
+  // UM keeps the query's page cache across batches.
+  const std::unique_ptr<AccessPolicy> fresh =
+      kind == EngineKind::kUnifiedMemory
+          ? nullptr
+          : make_access_policy(kind, graph_, cache_, options_.sim);
+  phase_match(kind, *qs.engine, graph_, batch,
+              fresh ? *fresh : *qs.um_policy, qcounters, sink, options_.sim,
+              *qs.metrics, qr);
   if (options_.breaker.match_deadline_ms > 0 &&
       qr.wall_match_ms >
           static_cast<double>(options_.breaker.match_deadline_ms)) {
@@ -1075,10 +1059,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
           nf->quarantine = std::move(quarantine);
         }
         nf->roles = roles;
-        const bool uses_cache = options_.kind == EngineKind::kGcsm ||
-                                options_.kind == EngineKind::kNaiveDegree ||
-                                options_.kind == EngineKind::kVsgm;
-        if (uses_cache) {
+        if (uses_cache(options_.kind)) {
           // Pre-apply estimation: sees the graph one update earlier than
           // the serial schedule would (count-neutral; the rng draw order
           // per query is unchanged, one estimate per batch).

@@ -19,11 +19,6 @@ std::string shard_prefix(const std::string& base, std::size_t s) {
   return base + "shard" + std::to_string(s) + ".";
 }
 
-bool uses_cache(EngineKind kind) {
-  return kind == EngineKind::kGcsm || kind == EngineKind::kNaiveDegree ||
-         kind == EngineKind::kVsgm;
-}
-
 }  // namespace
 
 ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
@@ -59,8 +54,7 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
 QueryId ShardedMatchEngine::register_query(QueryGraph query, MatchSink sink) {
   auto qs = std::make_unique<QueryState>();
   qs->id = static_cast<QueryId>(states_.size() + 1);
-  qs->matcher =
-      std::make_unique<ShardedMatcher>(std::move(query), options_.num_shards);
+  qs->matcher = std::make_unique<ShardedMatcher>(std::move(query));
   qs->estimator = std::make_unique<FrequencyEstimator>(qs->matcher->query(),
                                                        options_.estimator);
   qs->rng = Rng(options_.seed + qs->id);

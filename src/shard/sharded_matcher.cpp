@@ -1,12 +1,8 @@
 #include "shard/sharded_matcher.hpp"
 
 #include <memory>
-#include <mutex>
-#include <span>
 
-#include "core/access_policy.hpp"
-#include "core/intersect.hpp"
-#include "core/list_ref.hpp"
+#include "core/match_kernel.hpp"
 #include "gpusim/simt_executor.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
@@ -23,25 +19,8 @@ class RoutedShardPolicy final : public AccessPolicy {
                     const gpusim::SimParams& sim)
       : sg_(sg), on_device_(kind != EngineKind::kCpu) {
     for (std::size_t s = 0; s < sg.num_shards(); ++s) {
-      switch (kind) {
-        case EngineKind::kGcsm:
-        case EngineKind::kNaiveDegree:
-        case EngineKind::kVsgm:
-          policies_.push_back(std::make_unique<CachedPolicy>(
-              sg.graph(s), sg.cache(s), sim));
-          break;
-        case EngineKind::kZeroCopy:
-          policies_.push_back(
-              std::make_unique<ZeroCopyPolicy>(sg.graph(s), sim));
-          break;
-        case EngineKind::kUnifiedMemory:
-          policies_.push_back(
-              std::make_unique<UnifiedMemoryPolicy>(sg.graph(s), sim));
-          break;
-        case EngineKind::kCpu:
-          policies_.push_back(std::make_unique<HostPolicy>(sg.graph(s)));
-          break;
-      }
+      policies_.push_back(
+          make_access_policy(kind, sg.graph(s), sg.cache(s), sim));
     }
   }
 
@@ -57,70 +36,6 @@ class RoutedShardPolicy final : public AccessPolicy {
   std::vector<std::unique_ptr<AccessPolicy>> policies_;
 };
 
-struct ShardScratch {
-  std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
-  std::array<std::uint32_t, kMaxQueryVertices> cursor{};
-  std::vector<VertexId> tmp;
-  MatchStats stats;
-  std::uint64_t routed_items = 0;
-  std::uint64_t migrated = 0;
-};
-
-// Same charging rule as core/cpu_engine.cpp: SIMT compute for device
-// policies, host ops for the CPU fallback.
-void charge_ops(AccessPolicy& policy, gpusim::TrafficCounters& counters,
-                std::uint64_t ops) {
-  if (policy.on_device()) {
-    counters.add_compute(ops);
-  } else {
-    counters.add_host(ops, 0);
-  }
-}
-
-// Verbatim mechanics of core/cpu_engine.cpp's compute_candidates, so the
-// candidate sets (and charged op counts) match the single-device engine.
-bool compute_candidates(const MatchPlan& plan, std::uint32_t level,
-                        const std::array<VertexId, kMaxQueryVertices>& bound,
-                        AccessPolicy& policy,
-                        gpusim::TrafficCounters& counters,
-                        ShardScratch& scratch) {
-  const PlanLevel& pl = plan.levels[level];
-  auto& out = scratch.cand[level];
-  out.clear();
-  std::uint64_t ops = 0;
-
-  const auto& c0 = pl.constraints[0];
-  const NeighborView v0 = policy.fetch(bound[c0.order_pos], c0.view, counters);
-  materialize_view(v0, out);
-  ops += out.size();
-
-  for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
-    const auto& c = pl.constraints[i];
-    const NeighborView vi = policy.fetch(bound[c.order_pos], c.view, counters);
-    scratch.tmp.clear();
-    materialize_view(vi, scratch.tmp);
-    ops += scratch.tmp.size();
-    ops += intersect_into(out, scratch.tmp.data(), scratch.tmp.size());
-  }
-  charge_ops(policy, counters, ops);
-  return !out.empty();
-}
-
-class SinkLock {
- public:
-  explicit SinkLock(const MatchSink* sink) : sink_(sink) {}
-  void emit(const MatchPlan& plan, std::span<const VertexId> binding,
-            int sign) {
-    if (sink_ == nullptr) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    (*sink_)(plan, binding, sign);
-  }
-
- private:
-  const MatchSink* sink_;
-  std::mutex mu_;
-};
-
 // A partial match in flight between shards: resume the DFS at `level`
 // (whose candidates have not been computed yet) with bound[0..level+2)
 // already fixed.
@@ -128,204 +43,135 @@ struct Partial {
   std::uint32_t plan_idx = 0;
   std::int8_t sign = +1;
   std::uint32_t level = 0;
-  std::array<VertexId, kMaxQueryVertices> bound{};
+  kernel::Binding bound{};
 };
 
-struct TaskCtx {
+// One shard's state for one launch. Only that shard's pool task touches it
+// within a round; the barrier between rounds hands its outbox over.
+struct ShardTask {
   std::uint32_t shard = 0;
-  const QueryGraph* query = nullptr;
-  const std::vector<MatchPlan>* plans = nullptr;
-  const std::vector<std::vector<std::uint8_t>>* stitch = nullptr;
-  const DynamicGraph* graph = nullptr;  // this shard's (labels are global)
-  const GraphPartitioner* part = nullptr;
-  AccessPolicy* policy = nullptr;
-  gpusim::TrafficCounters* counters = nullptr;
-  ShardScratch* scratch = nullptr;
-  SinkLock* sink = nullptr;
-  std::vector<std::vector<Partial>>* outbox = nullptr;  // [target shard]
+  std::unique_ptr<RoutedShardPolicy> policy;
+  gpusim::TrafficCounters counters;
+  kernel::WorkerScratch scratch;
+  std::uint64_t routed_items = 0;
+  std::uint64_t migrated = 0;
+  std::vector<std::vector<Partial>> outbox;  // [target shard]
 };
 
-// The explicit-stack DFS of core/cpu_engine.cpp's enumerate_seed, extended
-// with one hook: before descending into a BRANCH level whose anchor vertex
-// is owned elsewhere, the partial is shipped to that owner instead.
-void expand_partial(TaskCtx& ctx, const Partial& p) {
-  const MatchPlan& plan = (*ctx.plans)[p.plan_idx];
-  const std::vector<std::uint8_t>& stitch = (*ctx.stitch)[p.plan_idx];
-  const std::uint32_t num_levels = plan.num_levels();
-  std::array<VertexId, kMaxQueryVertices> bound = p.bound;
-  ShardScratch& scratch = *ctx.scratch;
-  const int sign = p.sign;
-
-  auto emit = [&](std::uint32_t depth) {
-    scratch.stats.signed_embeddings += sign;
-    if (sign > 0) {
-      ++scratch.stats.positive;
-    } else {
-      ++scratch.stats.negative;
-    }
-    ctx.sink->emit(plan, std::span<const VertexId>(bound.data(), depth),
-                   sign);
-  };
-
-  if (num_levels == 0) {
-    emit(2);
-    return;
-  }
-
-  // Entry-level stitch: a freshly seeded partial may immediately belong to
-  // another shard. Inbox partials never re-migrate (they were routed here).
-  if (stitch[p.level] != 0) {
-    const auto& c0 = plan.levels[p.level].constraints[0];
-    const std::uint32_t target = ctx.part->owner(bound[c0.order_pos]);
-    if (target != ctx.shard) {
-      (*ctx.outbox)[target].push_back(p);
-      ++scratch.migrated;
-      return;
+// One routed launch of the shared kernel: a task per shard, a stitch hook
+// that ships a partial to the owner of a branch level's anchor, and the
+// superstep loop that drains the shipped partials.
+class RoutedLaunch {
+ public:
+  RoutedLaunch(const QueryGraph& query, const std::vector<MatchPlan>& plans,
+               const std::vector<std::vector<std::uint8_t>>& stitch,
+               EngineKind kind, const ShardedGraph& sg,
+               const gpusim::SimParams& sim, const MatchSink* sink)
+      : query_(query),
+        plans_(plans),
+        stitch_(stitch),
+        sg_(sg),
+        sink_(sink),
+        tasks_(sg.num_shards()) {
+    for (std::size_t s = 0; s < tasks_.size(); ++s) {
+      tasks_[s].shard = static_cast<std::uint32_t>(s);
+      tasks_[s].policy = std::make_unique<RoutedShardPolicy>(kind, sg, sim);
+      tasks_[s].outbox.resize(tasks_.size());
     }
   }
 
-  const auto base = static_cast<std::int32_t>(p.level);
-  std::int32_t level = base;
-  if (!compute_candidates(plan, p.level, bound, *ctx.policy, *ctx.counters,
-                          scratch)) {
-    return;
-  }
-  scratch.cursor[level] = 0;
+  const std::vector<ShardTask>& tasks() const { return tasks_; }
 
-  while (level >= base) {
-    auto& cand = scratch.cand[level];
-    auto& cur = scratch.cursor[level];
-    if (cur >= cand.size()) {
-      --level;
-      continue;
-    }
-    const VertexId v = cand[cur++];
-    const PlanLevel& pl = plan.levels[level];
-
-    if (!ctx.query->label_matches(pl.query_vertex, ctx.graph->label(v))) {
-      continue;
-    }
-    bool duplicate = false;
-    const std::uint32_t bound_count = 2 + static_cast<std::uint32_t>(level);
-    for (std::uint32_t i = 0; i < bound_count; ++i) {
-      if (bound[i] == v) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-
-    bound[bound_count] = v;
-    if (static_cast<std::uint32_t>(level) + 1 == num_levels) {
-      emit(bound_count + 1);
-      continue;
-    }
-    const std::uint32_t next = static_cast<std::uint32_t>(level) + 1;
-    if (stitch[next] != 0) {
-      const auto& c0 = plan.levels[next].constraints[0];
-      const std::uint32_t target = ctx.part->owner(bound[c0.order_pos]);
-      if (target != ctx.shard) {
-        Partial np;
-        np.plan_idx = p.plan_idx;
-        np.sign = p.sign;
-        np.level = next;
-        np.bound = bound;
-        (*ctx.outbox)[target].push_back(np);
-        ++scratch.migrated;
-        continue;
-      }
-    }
-    ++level;
-    if (!compute_candidates(plan, static_cast<std::uint32_t>(level), bound,
-                            *ctx.policy, *ctx.counters, scratch)) {
-      --level;
-      continue;
-    }
-    scratch.cursor[level] = 0;
-  }
-}
-
-// Round 0: the single-device work-item space (plan x record x orientation),
-// with each item claimed by owner(xa) — exactly-once enumeration globally.
-void process_seed_items(TaskCtx& ctx, const EdgeBatch& batch) {
-  const std::vector<MatchPlan>& plans = *ctx.plans;
-  const std::size_t per_plan = batch.updates.size() * 2;
-  const std::size_t total = plans.size() * per_plan;
-  for (std::size_t item = 0; item < total; ++item) {
-    const std::size_t plan_idx = item / per_plan;
-    const std::size_t rest = item % per_plan;
-    const EdgeUpdate& e = batch.updates[rest / 2];
-    const bool swap = (rest % 2) != 0;
-    const VertexId xa = swap ? e.v : e.u;
-    const VertexId xb = swap ? e.u : e.v;
-    if (ctx.part->owner(xa) != ctx.shard) continue;
-    ++ctx.scratch->routed_items;
-
-    const MatchPlan& plan = plans[plan_idx];
-    if (!ctx.query->label_matches(plan.seed_a, ctx.graph->label(xa))) {
-      continue;
-    }
-    if (!ctx.query->label_matches(plan.seed_b, ctx.graph->label(xb))) {
-      continue;
-    }
-    Partial p;
-    p.plan_idx = static_cast<std::uint32_t>(plan_idx);
-    p.sign = e.sign;
-    p.level = 0;
-    p.bound[0] = xa;
-    p.bound[1] = xb;
-    ++ctx.scratch->stats.seeds;
-    expand_partial(ctx, p);
-  }
-}
-
-// Drains migrated partials in barrier-separated supersteps until no outbox
-// has work. Returns the number of rounds run beyond the first.
-std::uint32_t run_supersteps(
-    ThreadPool& pool, std::size_t num_shards, std::vector<TaskCtx>& ctxs,
-    std::vector<std::vector<std::vector<Partial>>>& outboxes) {
-  std::uint32_t extra_rounds = 0;
-  std::vector<std::vector<Partial>> inbox(num_shards);
-  for (;;) {
-    bool any = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      inbox[s].clear();
-      for (std::size_t src = 0; src < num_shards; ++src) {
-        auto& box = outboxes[src][s];
-        inbox[s].insert(inbox[s].end(), box.begin(), box.end());
-        box.clear();
-      }
-      if (!inbox[s].empty()) any = true;
-    }
-    if (!any) break;
-    ++extra_rounds;
-    pool.parallel_for(num_shards, 1,
+  // Runs body(task) for every shard, one pool task per shard.
+  template <typename Body>
+  void for_each_task(ThreadPool& pool, const Body& body) {
+    pool.parallel_for(tasks_.size(), 1,
                       [&](std::size_t begin, std::size_t end, std::size_t) {
                         for (std::size_t s = begin; s < end; ++s) {
-                          for (const Partial& p : inbox[s]) {
-                            expand_partial(ctxs[s], p);
-                          }
+                          body(tasks_[s]);
                         }
                       });
   }
-  return extra_rounds;
-}
+
+  // Enumerates the seed pair (xa, xb) of plans[plan] from `task`'s shard.
+  void seed(ShardTask& task, std::size_t plan, VertexId xa, VertexId xb,
+            int sign) {
+    ++task.scratch.stats.seeds;
+    Partial p;
+    p.plan_idx = static_cast<std::uint32_t>(plan);
+    p.sign = static_cast<std::int8_t>(sign);
+    p.bound[0] = xa;
+    p.bound[1] = xb;
+    expand(task, p);
+  }
+
+  // Drains shipped partials in barrier-separated supersteps until no
+  // outbox has work. Returns the number of rounds run.
+  std::uint32_t run_supersteps(ThreadPool& pool) {
+    std::uint32_t rounds = 0;
+    std::vector<std::vector<Partial>> inbox(tasks_.size());
+    for (;;) {
+      bool any = false;
+      for (std::size_t s = 0; s < tasks_.size(); ++s) {
+        inbox[s].clear();
+        for (ShardTask& src : tasks_) {
+          std::vector<Partial>& box = src.outbox[s];
+          inbox[s].insert(inbox[s].end(), box.begin(), box.end());
+          box.clear();
+        }
+        if (!inbox[s].empty()) any = true;
+      }
+      if (!any) return rounds;
+      ++rounds;
+      for_each_task(pool, [&](ShardTask& task) {
+        for (const Partial& p : inbox[task.shard]) expand(task, p);
+      });
+    }
+  }
+
+ private:
+  // The kernel's DFS from `p` on `task`'s shard. Before descending into a
+  // BRANCH level whose anchor another shard owns, the partial is shipped to
+  // that owner instead; a partial shipped here never ships again at its
+  // entry level, because its anchor is ours.
+  void expand(ShardTask& task, const Partial& p) {
+    const MatchPlan& plan = plans_[p.plan_idx];
+    const std::vector<std::uint8_t>& stitch = stitch_[p.plan_idx];
+    const auto stays_here = [&](std::uint32_t level,
+                                const kernel::Binding& bound) {
+      if (stitch[level] == 0) return true;
+      const auto& anchor = plan.levels[level].constraints[0];
+      const std::uint32_t target = sg_.owner(bound[anchor.order_pos]);
+      if (target == task.shard) return true;
+      task.outbox[target].push_back(Partial{p.plan_idx, p.sign, level, bound});
+      ++task.migrated;
+      return false;
+    };
+    kernel::enumerate(query_, plan, sg_.graph(task.shard), p.bound, p.level,
+                      p.sign, kernel::PolicyFetch{*task.policy, task.counters},
+                      task.scratch, sink_, nullptr, stays_here);
+  }
+
+  const QueryGraph& query_;
+  const std::vector<MatchPlan>& plans_;
+  const std::vector<std::vector<std::uint8_t>>& stitch_;
+  const ShardedGraph& sg_;
+  kernel::SinkLock sink_;
+  std::vector<ShardTask> tasks_;
+};
 
 }  // namespace
 
-ShardedMatcher::ShardedMatcher(QueryGraph query, std::size_t num_shards,
-                               std::size_t grain)
+ShardedMatcher::ShardedMatcher(QueryGraph query)
     : query_(std::move(query)),
-      static_plan_(make_static_plan(query_)),
+      static_plans_{make_static_plan(query_)},
       delta_plans_(make_delta_plans(query_)),
-      decomposition_(make_branch_decomposition(query_)),
-      num_shards_(num_shards),
-      grain_(grain) {
+      decomposition_(make_branch_decomposition(query_)) {
   delta_stitch_.reserve(delta_plans_.size());
   for (const MatchPlan& p : delta_plans_) {
     delta_stitch_.push_back(stitch_levels(decomposition_, p));
   }
-  static_stitch_ = stitch_levels(decomposition_, static_plan_);
+  static_stitch_.push_back(stitch_levels(decomposition_, static_plans_[0]));
 }
 
 MatchStats ShardedMatcher::match_batch(
@@ -333,14 +179,12 @@ MatchStats ShardedMatcher::match_batch(
     ThreadPool& pool, const MatchSink* sink, const gpusim::SimParams& sim,
     FaultInjector* faults, double watchdog_timeout_ms,
     std::vector<gpusim::Traffic>* per_shard_traffic, StitchStats* stitch) {
-  const std::size_t shards = num_shards_;
-
   // Kernel fault sites, probed once per shard launch BEFORE any item runs
   // (mirroring SimtExecutor's contract, so no partial kernel effects
   // escape). A hung shard kernel surfaces directly as the watchdog's
   // cancellation.
   if (faults != nullptr && effective_kind != EngineKind::kCpu) {
-    for (std::size_t s = 0; s < shards; ++s) {
+    for (std::size_t s = 0; s < sg.num_shards(); ++s) {
       if (faults->fires(fault_site::kKernelLaunch)) {
         throw gpusim::KernelLaunchError();
       }
@@ -350,55 +194,38 @@ MatchStats ShardedMatcher::match_batch(
     }
   }
 
-  std::vector<ShardScratch> scratch(shards);
-  auto counters = std::make_unique<gpusim::TrafficCounters[]>(shards);
-  std::vector<std::unique_ptr<RoutedShardPolicy>> policies;
-  policies.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    policies.push_back(
-        std::make_unique<RoutedShardPolicy>(effective_kind, sg, sim));
-  }
-  SinkLock sink_lock(sink);
-  std::vector<std::vector<std::vector<Partial>>> outboxes(
-      shards, std::vector<std::vector<Partial>>(shards));
-
-  std::vector<TaskCtx> ctxs(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    ctxs[s].shard = static_cast<std::uint32_t>(s);
-    ctxs[s].query = &query_;
-    ctxs[s].plans = &delta_plans_;
-    ctxs[s].stitch = &delta_stitch_;
-    ctxs[s].graph = &sg.graph(s);
-    ctxs[s].part = &sg.partitioner();
-    ctxs[s].policy = policies[s].get();
-    ctxs[s].counters = &counters[s];
-    ctxs[s].scratch = &scratch[s];
-    ctxs[s].sink = &sink_lock;
-    ctxs[s].outbox = &outboxes[s];
-  }
-
-  pool.parallel_for(shards, 1,
-                    [&](std::size_t begin, std::size_t end, std::size_t) {
-                      for (std::size_t s = begin; s < end; ++s) {
-                        process_seed_items(ctxs[s], batch);
-                      }
-                    });
+  RoutedLaunch launch(query_, delta_plans_, delta_stitch_, effective_kind, sg,
+                      sim, sink);
+  // Round 0: the single-device work-item space, with each item claimed by
+  // owner(xa) — exactly-once enumeration globally.
+  const std::size_t items =
+      kernel::num_seed_items(delta_plans_.size(), batch);
+  launch.for_each_task(pool, [&](ShardTask& task) {
+    for (std::size_t item = 0; item < items; ++item) {
+      const kernel::SeedItem seed = kernel::decode_seed_item(item, batch);
+      if (sg.owner(seed.xa) != task.shard) continue;
+      ++task.routed_items;
+      if (kernel::seed_admits(query_, delta_plans_[seed.plan],
+                              sg.graph(task.shard), seed.xa, seed.xb,
+                              nullptr)) {
+        launch.seed(task, seed.plan, seed.xa, seed.xb, seed.sign);
+      }
+    }
+  });
 
   Timer stitch_timer;
-  const std::uint32_t extra = run_supersteps(pool, shards, ctxs, outboxes);
+  const std::uint32_t extra = launch.run_supersteps(pool);
 
   MatchStats stats;
   std::uint64_t routed = 0;
   std::uint64_t migrated = 0;
-  for (const ShardScratch& s : scratch) {
-    stats += s.stats;
-    routed += s.routed_items;
-    migrated += s.migrated;
-  }
-  if (per_shard_traffic != nullptr) {
-    per_shard_traffic->clear();
-    for (std::size_t s = 0; s < shards; ++s) {
-      per_shard_traffic->push_back(counters[s].snapshot());
+  if (per_shard_traffic != nullptr) per_shard_traffic->clear();
+  for (const ShardTask& task : launch.tasks()) {
+    stats += task.scratch.stats;
+    routed += task.routed_items;
+    migrated += task.migrated;
+    if (per_shard_traffic != nullptr) {
+      per_shard_traffic->push_back(task.counters.snapshot());
     }
   }
   if (stitch != nullptr) {
@@ -415,78 +242,24 @@ MatchStats ShardedMatcher::match_full(EngineKind effective_kind,
                                       ThreadPool& pool,
                                       const gcsm::gpusim::SimParams& sim,
                                       const MatchSink* sink) {
-  const std::size_t shards = num_shards_;
-  const std::vector<MatchPlan> plans{static_plan_};
-  const std::vector<std::vector<std::uint8_t>> stitch{static_stitch_};
-
-  std::vector<ShardScratch> scratch(shards);
-  auto counters = std::make_unique<gpusim::TrafficCounters[]>(shards);
-  std::vector<std::unique_ptr<RoutedShardPolicy>> policies;
-  policies.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    policies.push_back(
-        std::make_unique<RoutedShardPolicy>(effective_kind, sg, sim));
-  }
-  SinkLock sink_lock(sink);
-  std::vector<std::vector<std::vector<Partial>>> outboxes(
-      shards, std::vector<std::vector<Partial>>(shards));
-
-  std::vector<TaskCtx> ctxs(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    ctxs[s].shard = static_cast<std::uint32_t>(s);
-    ctxs[s].query = &query_;
-    ctxs[s].plans = &plans;
-    ctxs[s].stitch = &stitch;
-    ctxs[s].graph = &sg.graph(s);
-    ctxs[s].part = &sg.partitioner();
-    ctxs[s].policy = policies[s].get();
-    ctxs[s].counters = &counters[s];
-    ctxs[s].scratch = &scratch[s];
-    ctxs[s].sink = &sink_lock;
-    ctxs[s].outbox = &outboxes[s];
-  }
-
-  const MatchPlan& plan = static_plan_;
-  const auto n = static_cast<std::size_t>(sg.num_vertices());
-  pool.parallel_for(
-      shards, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t s = begin; s < end; ++s) {
-          TaskCtx& ctx = ctxs[s];
-          for (std::size_t item = 0; item < n; ++item) {
-            const auto xa = static_cast<VertexId>(item);
-            if (ctx.part->owner(xa) != ctx.shard) continue;
-            if (!query_.label_matches(plan.seed_a, ctx.graph->label(xa))) {
-              continue;
-            }
-            // Scan xa's live neighbors as seed targets (both orientations
-            // are covered because every ordered pair is its own item).
-            ShardScratch& sc = *ctx.scratch;
-            const NeighborView view =
-                ctx.policy->fetch(xa, ViewMode::kNew, *ctx.counters);
-            sc.tmp.clear();
-            materialize_view(view, sc.tmp);
-            charge_ops(*ctx.policy, *ctx.counters, sc.tmp.size());
-            const std::vector<VertexId> seeds = sc.tmp;  // tmp reused below
-            for (const VertexId xb : seeds) {
-              if (!query_.label_matches(plan.seed_b, ctx.graph->label(xb))) {
-                continue;
-              }
-              Partial p;
-              p.plan_idx = 0;
-              p.sign = +1;
-              p.level = 0;
-              p.bound[0] = xa;
-              p.bound[1] = xb;
-              ++sc.stats.seeds;
-              expand_partial(ctx, p);
-            }
-          }
-        }
-      });
-  run_supersteps(pool, shards, ctxs, outboxes);
+  RoutedLaunch launch(query_, static_plans_, static_stitch_, effective_kind,
+                      sg, sim, sink);
+  const VertexId n = sg.num_vertices();
+  launch.for_each_task(pool, [&](ShardTask& task) {
+    const kernel::PolicyFetch fetch{*task.policy, task.counters};
+    for (VertexId xa = 0; xa < n; ++xa) {
+      if (sg.owner(xa) != task.shard) continue;
+      // Every ordered pair (xa, xb) is its own seed, so both orientations
+      // are covered.
+      kernel::scan_static_seeds(
+          query_, static_plans_[0], sg.graph(task.shard), xa, fetch,
+          [&](VertexId xb) { launch.seed(task, 0, xa, xb, +1); });
+    }
+  });
+  launch.run_supersteps(pool);
 
   MatchStats stats;
-  for (const ShardScratch& s : scratch) stats += s.stats;
+  for (const ShardTask& task : launch.tasks()) stats += task.scratch.stats;
   return stats;
 }
 

@@ -1,10 +1,9 @@
 // The cross-shard delta-join enumerator (DESIGN.md, "Multi-device
 // sharding").
 //
-// Replicates core/cpu_engine.cpp's STMatch-shaped enumeration exactly —
-// same work-item space (plan x ΔE record x orientation), same candidate
-// intersections, same bind-time label/injectivity checks, same op charging —
-// but distributes it Pregel-style across shards:
+// Runs the single-device match kernel (core/match_kernel.hpp) — the same
+// work-item space (plan x ΔE record x orientation), candidate step, bind
+// check and op charging — and adds only what sharding needs:
 //
 //   * every seed work item is routed to owner(xa), the shard owning the
 //     delta edge's first endpoint; since each (plan, record, orientation)
@@ -13,13 +12,15 @@
 //   * at non-branch levels, remote neighbor lists are read inline through a
 //     RoutedShardPolicy that forwards each fetch to the owning shard's
 //     policy (cache, zero-copy, UM, or host — mirroring the engine kind);
-//   * at BRANCH levels (query/branch_plan.hpp) whose anchor is remote, the
-//     partial match migrates to the anchor's owner via per-shard outboxes,
-//     drained in barrier-separated supersteps until no partials remain.
+//   * the kernel's before-descend hook stitches: before a BRANCH level
+//     (query/branch_plan.hpp) whose anchor is remote, the partial match
+//     migrates to the anchor's owner via per-shard outboxes, drained in
+//     barrier-separated supersteps until no partials remain.
 //
 // Exactness: owner(v)'s views are byte-identical to the single-device
 // graph's (ShardedGraph invariant), so candidate sets — hence emitted
-// embeddings and MatchStats totals — are bit-identical to MatchEngine's.
+// embeddings, MatchStats totals and charged ops — are bit-identical to
+// MatchEngine's.
 #pragma once
 
 #include <array>
@@ -43,17 +44,17 @@ struct StitchStats {
 
 class ShardedMatcher {
  public:
-  ShardedMatcher(QueryGraph query, std::size_t num_shards,
-                 std::size_t grain = 2);
+  explicit ShardedMatcher(QueryGraph query);
 
   const QueryGraph& query() const { return query_; }
   const std::vector<MatchPlan>& delta_plans() const { return delta_plans_; }
   const BranchDecomposition& decomposition() const { return decomposition_; }
 
-  // Incremental matching of the GLOBAL batch across shards. Shard tasks run
-  // on `pool` (one task per shard); per_shard_traffic (size num_shards)
-  // receives each shard's match-phase traffic. `effective_kind` selects the
-  // per-shard access policies (kCpu = the recovery ladder's host fallback).
+  // Incremental matching of the GLOBAL batch across sg's shards. Shard
+  // tasks run on `pool` (one task per shard); per_shard_traffic (one entry
+  // per shard) receives each shard's match-phase traffic. `effective_kind`
+  // selects the per-shard access policies (kCpu = the recovery ladder's
+  // host fallback).
   // Kernel fault sites are probed once per shard before any item runs.
   MatchStats match_batch(EngineKind effective_kind, const ShardedGraph& sg,
                          const EdgeBatch& batch, ThreadPool& pool,
@@ -70,13 +71,12 @@ class ShardedMatcher {
 
  private:
   QueryGraph query_;
-  MatchPlan static_plan_;
+  std::vector<MatchPlan> static_plans_;  // just the static plan
   std::vector<MatchPlan> delta_plans_;
   BranchDecomposition decomposition_;
-  std::vector<std::vector<std::uint8_t>> delta_stitch_;  // per delta plan
-  std::vector<std::uint8_t> static_stitch_;
-  std::size_t num_shards_;
-  std::size_t grain_;
+  // Per plan, which levels are branch levels (stitch points).
+  std::vector<std::vector<std::uint8_t>> static_stitch_;
+  std::vector<std::vector<std::uint8_t>> delta_stitch_;
 };
 
 }  // namespace gcsm::shard

@@ -76,6 +76,16 @@ TEST(Lint, FlagsStrayRelaxedAtomic) {
   EXPECT_EQ(diags[0].file, "src/core/bad.cpp");
 }
 
+TEST(Lint, FlagsKernelCopy) {
+  // The fixture calls intersect_into twice: from a whitelisted kernel path
+  // (allowed) and from a private candidate loop in shard/ (flagged).
+  const auto diags = lint_fixture("kernel_copy");
+  ASSERT_EQ(diags.size(), 1u) << render(diags);
+  EXPECT_EQ(diags[0].rule, "kernel-copy");
+  EXPECT_EQ(diags[0].file, "src/shard/bad.cpp");
+  EXPECT_NE(diags[0].message.find("candidate_step"), std::string::npos);
+}
+
 TEST(Lint, FlagsNakedLock) {
   const auto diags = lint_fixture("naked_lock");
   ASSERT_EQ(diags.size(), 2u) << render(diags);  // lock() and unlock()

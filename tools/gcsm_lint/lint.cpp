@@ -28,6 +28,16 @@ const std::set<std::string> kRelaxedAtomicFiles = {
     "src/gpusim/cost_model.hpp", "src/core/access_policy.cpp",
 };
 
+// Files allowed to call intersect_into: the intersection kernels and the
+// one match kernel. Every matcher and the estimator reach set intersection
+// through kernel::candidate_step, so a change to the candidate step lands
+// once (DESIGN.md §5, "One enumeration core").
+const std::set<std::string> kKernelFiles = {
+    "src/core/intersect.hpp",
+    "src/core/intersect.cpp",
+    "src/core/match_kernel.hpp",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -293,6 +303,20 @@ void check_relaxed_atomics(const FileContext& ctx) {
   }
 }
 
+void check_kernel_copies(const FileContext& ctx) {
+  if (kKernelFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == TokKind::kIdent && toks[i].text == "intersect_into" &&
+        toks[i + 1].kind == TokKind::kPunct && toks[i + 1].text == "(") {
+      emit(ctx, toks[i].line, "kernel-copy",
+           "intersect_into call outside the match kernel; compute candidates "
+           "with kernel::candidate_step (core/match_kernel.hpp) so every "
+           "matcher keeps running the one candidate step");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -376,6 +400,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_registered_literals(ctx, metric_names, fault_names);
     check_throws(ctx);
     check_relaxed_atomics(ctx);
+    check_kernel_copies(ctx);
     check_naked_locks(ctx);
   }
 

@@ -22,6 +22,10 @@
 //   stray-relaxed-atomic std::memory_order_relaxed outside the audited
 //                        whitelist (util/metrics, util/trace,
 //                        gpusim/cost_model.hpp, core/access_policy.cpp).
+//   kernel-copy          a call to intersect_into outside core/intersect.*
+//                        and the match kernel (core/match_kernel.hpp): a
+//                        second candidate loop that kernel changes would
+//                        miss.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
