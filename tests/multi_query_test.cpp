@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -322,26 +324,37 @@ TEST(MultiQuery, SinksFireOnlyForTheirQuery) {
 // ---------------------------------------------------------------------------
 // Fault matrix: every site armed at p = 0.05, counts still bit-identical.
 
-TEST(MultiQuery, FaultMatrixBitIdenticalAcrossQueries) {
+// The fault matrix's stream: 60 batches of 16 updates.
+UpdateStream fault_matrix_stream() {
   Rng rng(2026);
   const CsrGraph base = generate_barabasi_albert(500, 4, 3, rng);
   UpdateStreamOptions sopt;
   sopt.pool_edge_count = 960;
   sopt.batch_size = 16;
   sopt.seed = 5;
-  const UpdateStream stream = make_update_stream(base, sopt);
+  return make_update_stream(base, sopt);
+}
+
+// The fault matrix's engine options, armed by `inj`.
+MultiQueryOptions fault_matrix_options(FaultInjector& inj) {
+  inj.arm_all(0.05);
+  MultiQueryOptions opt = multi_options(EngineKind::kGcsm);
+  opt.fault_injector = &inj;
+  opt.recovery.max_attempts = 2;
+  opt.recovery.heal_after_clean_batches = 4;
+  return opt;
+}
+
+constexpr std::uint64_t kMatrixFaultSeed = 0xFA05;
+
+TEST(MultiQuery, FaultMatrixBitIdenticalAcrossQueries) {
+  const UpdateStream stream = fault_matrix_stream();
   ASSERT_EQ(stream.num_batches(), 60u);
 
   const std::vector<QueryGraph> patterns = three_patterns();
 
-  FaultInjector inj(0xFA05);
-  inj.arm_all(0.05);
-  MultiQueryOptions faulty_opt = multi_options(EngineKind::kGcsm);
-  faulty_opt.fault_injector = &inj;
-  faulty_opt.recovery.max_attempts = 2;
-  faulty_opt.recovery.heal_after_clean_batches = 4;
-
-  MultiQueryEngine faulty(stream.initial, faulty_opt);
+  FaultInjector inj(kMatrixFaultSeed);
+  MultiQueryEngine faulty(stream.initial, fault_matrix_options(inj));
   std::vector<std::unique_ptr<Pipeline>> clean;
   for (const QueryGraph& q : patterns) {
     faulty.register_query(q);
@@ -363,6 +376,39 @@ TEST(MultiQuery, FaultMatrixBitIdenticalAcrossQueries) {
             clean[0]->graph().to_csr().edge_list());
   EXPECT_GT(inj.fired_count(), 0u);
   EXPECT_GE(total_retries, 1u);
+}
+
+// The same matrix with the ladder's decisions pinned batch by batch: the
+// shared ladder's retries, budget and cache drop, and each query's own
+// retries and CPU fallback. One match thread, because queries draw from the
+// shared injector in the order their fan-out tasks run.
+TEST(MultiQuery, FaultMatrixLadderDecisionsPinned) {
+  const UpdateStream stream = fault_matrix_stream();
+  FaultInjector inj(kMatrixFaultSeed);
+  MultiQueryOptions opt = fault_matrix_options(inj);
+  opt.match_parallelism = 1;
+  MultiQueryEngine engine(stream.initial, opt);
+  for (const QueryGraph& q : three_patterns()) engine.register_query(q);
+
+  std::ostringstream ladder;
+  for (std::size_t k = 0; k < stream.num_batches(); ++k) {
+    const ServerBatchReport r = engine.process_batch(stream.batches[k]);
+    ladder << k << " retries=" << r.shared.retries
+           << " level=" << r.shared.degradation_level
+           << " budget=" << r.shared.effective_cache_budget
+           << " dropped=" << r.cache_dropped
+           << " faults=" << r.shared.faults_observed << " queries=";
+    for (std::size_t i = 0; i < r.queries.size(); ++i) {
+      ladder << (i == 0 ? "" : ",") << r.queries[i].report.retries << "/"
+             << r.queries[i].report.cpu_fallback;
+    }
+    ladder << "\n";
+  }
+  std::ifstream golden(std::string(GCSM_TEST_GOLDEN_DIR) +
+                       "/ladder_multi_query.txt");
+  std::ostringstream want;
+  want << golden.rdbuf();
+  EXPECT_EQ(ladder.str(), want.str());
 }
 
 // ---------------------------------------------------------------------------
