@@ -464,6 +464,9 @@ int run_sharded(const CliArgs& args, const UpdateStream& stream,
     sopt.durability.wal_dir = args.get("wal-dir", "wal");
     sopt.durability.snapshot_interval =
         static_cast<std::uint64_t>(args.get_int("snapshot-every", 8));
+    // No --recover here: a fresh run scrubs stale durable state instead of
+    // failing closed on it.
+    sopt.durability.recover_on_start = false;
   }
   FaultInjector faults(
       static_cast<std::uint64_t>(args.get_int("fault-seed", 0x5eed)));

@@ -1,11 +1,10 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/gpu_engine.hpp"
+#include "core/recovery.hpp"
 #include "util/check.hpp"
-#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -64,27 +63,8 @@ Pipeline::Pipeline(const CsrGraph& initial, QueryGraph query,
       }
       replaying_ = false;
     }
-    // Integrity gate: the replayed totals must reproduce the last commit
-    // marker exactly — otherwise the durable state is inconsistent (e.g. a
-    // compacted WAL with a corrupt snapshot) and serving it would be wrong.
-    if (recovery_info_.have_expected &&
-        cumulative_ != recovery_info_.expected) {
-      throw Error(
-          ErrorCode::kRecovery,
-          "recovery replay does not reproduce the committed counters "
-          "(batches " +
-              std::to_string(cumulative_.batches_committed) + " vs " +
-              std::to_string(recovery_info_.expected.batches_committed) +
-              ", signed " + std::to_string(cumulative_.cum_signed) + " vs " +
-              std::to_string(recovery_info_.expected.cum_signed) + ")");
-    }
+    check_replay(recovery_info_, cumulative_);
   }
-}
-
-std::uint64_t Pipeline::effective_cache_budget() const {
-  const std::uint64_t shrunk =
-      options_.cache_budget_bytes >> degradation_level_;
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
 }
 
 void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
@@ -131,123 +111,48 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
                                     const MatchSink* sink) {
   const trace::Span batch_span(metrics_.span_batch());
   BatchReport report;
-  const RecoveryOptions& rec = options_.recovery;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
 
-  // Ingestion: corrupt (fault site), then screen. `owned` keeps whichever
-  // modified copy is in play; the caller's batch is never mutated.
-  EdgeBatch owned;
-  const EdgeBatch* use = &batch;
-  if (faults_ != nullptr) {
-    owned = batch;
-    inject_batch_corruption(owned, faults_);
-    use = &owned;
-  }
-  if (rec.sanitize_batches) {
-    QuarantineReport quarantine;
-    EdgeBatch clean = sanitize_batch(graph_, *use, quarantine);
-    if (!quarantine.empty()) {
-      owned = std::move(clean);
-      use = &owned;
-    }
-    report.quarantine = std::move(quarantine);
-  }
+  // Ingestion: corrupt (fault site), then screen, on a copy: the caller's
+  // batch is never mutated.
+  const EdgeBatch use = ingest_batch(
+      batch, faults_, options_.recovery,
+      [this](const EdgeBatch& b, QuarantineReport& q) {
+        return sanitize_batch(graph_, b, q);
+      },
+      report.quarantine);
 
   // Durable logging (step 1 of the commit protocol): the sanitized batch
   // reaches stable storage before the graph is touched, so recovery replays
   // exactly the bytes that ran. Recovery replay itself is not re-logged.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(*use);
+    wal_seq = durability_.begin_batch(use);
     report.wal_seq = wal_seq;
   }
 
   // The transaction: everything the batch can touch, restorable even from a
   // half-applied state.
-  const DynamicGraph::Snapshot snap = graph_.snapshot_for(*use);
+  const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
   auto rollback = [&] {
     graph_.restore(snap);
     cache_.clear();
     if (options_.check_invariants) graph_.validate();
   };
 
-  bool use_cpu = options_.kind == EngineKind::kCpu;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
+  // Escalation re-runs the batch on the CPU engine.
+  RetryLadder ladder(options_.recovery, options_.kind == EngineKind::kCpu);
+  run_transaction(
+      ladder, options_.kind, report, parker_,
+      [&](bool use_cpu) { run_attempt(use, sink, use_cpu, report); },
+      rollback,
+      [this] { return budget_.degrade(metrics_); });
+  report.cpu_fallback = ladder.fell_back();
+  if (!ladder.escalated()) budget_.heal(report.retries == 0);
 
-  // Consumes one attempt; when the current mode is out of attempts, either
-  // escalates to the CPU engine or gives up by rethrowing `error`.
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++report.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!use_cpu && rec.cpu_fallback) {
-        use_cpu = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-        report.cpu_fallback = true;
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      // Interruptible parking, not a blocking sleep: the delay is bounded
-      // but teardown (or an eager caller) can cut it short.
-      parker_.park_for_ms(backoff_ms);
-      report.backoff_ms += backoff_ms;
-      backoff_ms = std::min(backoff_ms * rec.backoff_multiplier,
-                            rec.backoff_max_ms);
-    }
-  };
-
-  for (;;) {
-    try {
-      run_attempt(*use, sink, use_cpu, report);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: the k-hop neighborhood must be device-resident, so
-        // no amount of shrinking or retrying helps.
-        throw;
-      }
-      if (!use_cpu &&
-          effective_cache_budget() > rec.min_cache_budget_bytes) {
-        ++degradation_level_;
-        metrics_.note_degradation();
-        clean_device_batches_ = 0;
-        ++report.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      // Unclassified failures (CheckFailure, logic errors) still leave a
-      // consistent graph behind, but are not retried.
-      rollback();
-      throw;
-    }
-  }
-
-  // Degradation heals: enough consecutive clean device batches earn the
-  // budget one doubling back toward the configured value. A batch that
-  // needed any recovery is not clean (including the one that shrank) and
-  // restarts the streak.
-  if (!use_cpu && degradation_level_ > 0) {
-    if (report.retries != 0) {
-      clean_device_batches_ = 0;
-    } else if (++clean_device_batches_ >=
-               std::max(1, rec.heal_after_clean_batches)) {
-      --degradation_level_;
-      clean_device_batches_ = 0;
-    }
-  }
-
-  report.degradation_level = degradation_level_;
-  report.effective_cache_budget = effective_cache_budget();
+  report.degradation_level = budget_.level();
+  report.effective_cache_budget = budget_.effective();
   if (faults_ != nullptr) {
     report.faults_observed = faults_->fired_count() - faults_before;
   }
@@ -255,13 +160,9 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
   // Commit (step 3): the cumulative totals including this batch go into the
   // commit marker; only after it is durable does the in-memory cumulative
   // state advance.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed += report.stats.signed_embeddings;
-  next.cum_positive += report.stats.positive;
-  next.cum_negative += report.stats.negative;
+  const durable::DurableCounters next =
+      advance_counters(cumulative_, report.stats, wal_seq);
   if (wal_seq != 0) {
-    next.last_seq = wal_seq;
     try {
       durability_.commit_batch(wal_seq, next);
     } catch (...) {

@@ -17,7 +17,8 @@
 // process_batch is TRANSACTIONAL: before touching the graph it snapshots the
 // state the batch can modify, and any failure (device OOM, DMA error, kernel
 // launch refusal, watchdog timeout, a mid-apply crash) rolls the graph back
-// and re-runs the batch. Recovery escalates along a ladder:
+// and re-runs the batch. Recovery escalates along the one recovery ladder
+// (core/recovery.hpp):
 //   transient fault  -> rollback + exponential-backoff retry (bounded);
 //   device OOM       -> halve the effective cache budget and retry (the
 //                       budget heals back after enough clean batches);
@@ -38,6 +39,7 @@
 #include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simt_executor.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -99,8 +101,8 @@ class Pipeline {
 
   // The cache budget after degradation: cache_budget_bytes halved
   // degradation_level() times, floored at min_cache_budget_bytes.
-  std::uint64_t effective_cache_budget() const;
-  std::uint32_t degradation_level() const { return degradation_level_; }
+  std::uint64_t effective_cache_budget() const { return budget_.effective(); }
+  std::uint32_t degradation_level() const { return budget_.level(); }
 
   // Cumulative match totals across every committed batch (maintained with
   // or without durability). With durability on, exactly what the last WAL
@@ -132,9 +134,8 @@ class Pipeline {
   durable::DurableCounters cumulative_;
   RecoveredState recovery_info_;
   bool replaying_ = false;  // recovery replay: no sink, no re-logging
-  std::uint32_t degradation_level_ = 0;
-  int clean_device_batches_ = 0;  // streak feeding the budget-heal counter
-  util::ParkingLot parker_;       // interruptible retry-ladder backoff
+  BudgetLadder budget_{options_.cache_budget_bytes, options_.recovery};
+  util::ParkingLot parker_;  // interruptible retry-ladder backoff
 };
 
 }  // namespace gcsm

@@ -8,6 +8,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "core/gpu_engine.hpp"
+#include "core/recovery.hpp"
 #include "util/durable_io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -207,16 +209,7 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
     replaying_ = false;
     replay_graph_only_ = false;
   }
-  if (recovery_info_.have_expected && cumulative_ != recovery_info_.expected) {
-    throw Error(
-        ErrorCode::kRecovery,
-        "recovery replay does not reproduce the committed counters "
-        "(batches " +
-            std::to_string(cumulative_.batches_committed) + " vs " +
-            std::to_string(recovery_info_.expected.batches_committed) +
-            ", signed " + std::to_string(cumulative_.cum_signed) + " vs " +
-            std::to_string(recovery_info_.expected.cum_signed) + ")");
-  }
+  check_replay(recovery_info_, cumulative_);
   // Post-gate normalization: healthy queries participated in everything
   // that replayed, so their positions land on the aggregate's (v1 images
   // and snapshot-anchored replays leave them stale). Quarantined debt is
@@ -234,12 +227,6 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
     }
   }
   refresh_breaker_gauges();
-}
-
-std::uint64_t MultiQueryEngine::effective_cache_budget() const {
-  const std::uint64_t shrunk =
-      options_.cache_budget_bytes >> degradation_level_;
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
 }
 
 std::unique_ptr<MultiQueryEngine::QueryState> MultiQueryEngine::make_state(
@@ -489,15 +476,6 @@ void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
   gpusim::TrafficCounters& counters = device_.counters();
   counters.reset();
   const gpusim::SimParams& sim = options_.sim;
-  // A retried attempt starts from clean per-attempt fields.
-  shared.wall_update_ms = 0.0;
-  shared.wall_estimate_ms = 0.0;
-  shared.wall_pack_ms = 0.0;
-  shared.sim_estimate_s = 0.0;
-  shared.sim_pack_s = 0.0;
-  shared.walks = 0;
-  shared.cached_vertices = 0;
-  shared.cache_bytes = 0;
 
   // Step 1: dynamic graph maintenance — once for every query.
   phase_update(graph_, batch, options_.check_invariants, metrics_, shared);
@@ -529,7 +507,7 @@ void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
   // publishes before the fan-out needs it; validation runs post-publish
   // because the staged blob is checked against the already-updated graph.
   phase_pack(options_.kind, cache_, graph_, staged_est->order,
-             effective_cache_budget(), options_.cache_budget_bytes, device_,
+             budget_.effective(), options_.cache_budget_bytes, device_,
              counters, options_.check_invariants, sim, metrics_, shared,
              staged_pack);
   if (staged_pack) {
@@ -554,7 +532,7 @@ void MultiQueryEngine::match_attempt(QueryState& qs, const EdgeBatch& batch,
                 "injected match.query fault for query " +
                     std::to_string(qs.id));
   }
-  qr.stats = MatchStats{};
+  reset_attempt(qr);
   gpusim::TrafficCounters qcounters;
   // UM keeps the query's page cache across batches.
   const std::unique_ptr<AccessPolicy> fresh =
@@ -585,7 +563,6 @@ void MultiQueryEngine::run_match_fanout(
     const std::function<void()>& staging,
     const std::vector<MatchSink>* sink_override) {
   using Clock = std::chrono::steady_clock;
-  const RecoveryOptions& rec = options_.recovery;
 
   // One shared ready-queue instead of a static partition: a retrying query
   // parks here with a ready-at deadline while its backoff elapses, so the
@@ -594,9 +571,7 @@ void MultiQueryEngine::run_match_fanout(
   // everyone behind its exponential backoff).
   struct Task {
     std::size_t index = 0;
-    bool use_cpu = false;
-    int attempts_left = 0;
-    double backoff_ms = 0.0;
+    RetryLadder ladder;  // escalation re-runs the query on the CPU engine
     // Backoff accumulated by THIS task so far. Folded into the query's
     // report exactly once, at a terminal outcome — the report field is
     // shared with the completion bookkeeping, and accumulating it from the
@@ -617,9 +592,9 @@ void MultiQueryEngine::run_match_fanout(
       out.queries[i].skipped = true;
       continue;
     }
-    queue.push_back(Task{i, options_.kind == EngineKind::kCpu,
-                         std::max(1, rec.max_attempts),
-                         rec.backoff_initial_ms, 0.0, now0});
+    queue.push_back(Task{
+        i, RetryLadder(options_.recovery, options_.kind == EngineKind::kCpu),
+        0.0, now0});
   }
   if (queue.empty()) {
     // No match work this batch, but the pipelined schedule may still owe
@@ -636,7 +611,7 @@ void MultiQueryEngine::run_match_fanout(
   match_pool_.run_on_all([&](std::size_t) {
     if (!staging_claimed.exchange(true)) staging();
     for (;;) {
-      Task task;
+      std::optional<Task> claimed;
       {
         std::unique_lock<std::mutex> lk(mu);
         for (;;) {
@@ -658,12 +633,13 @@ void MultiQueryEngine::run_match_fanout(
             cv.wait_until(lk, it->ready_at);
             continue;
           }
-          task = *it;
+          claimed = *it;
           queue.erase(it);
           ++in_flight;
           break;
         }
       }
+      Task& task = *claimed;
 
       QueryState& qs = *states_[task.index];
       QueryReport& q = out.queries[task.index];
@@ -678,7 +654,7 @@ void MultiQueryEngine::run_match_fanout(
       bool retryable = false;
       std::exception_ptr error;
       try {
-        match_attempt(qs, batch, task.use_cpu, sink, q.report);
+        match_attempt(qs, batch, task.ladder.escalated(), sink, q.report);
         ok = true;
       } catch (const Error& e) {
         // The match phase is read-only on the shared graph, so no rollback
@@ -693,43 +669,32 @@ void MultiQueryEngine::run_match_fanout(
 
       const std::lock_guard<std::mutex> lk(mu);
       --in_flight;
-      if (ok) {
-        q.report.backoff_ms += task.backoff_total;
-        if (roles[task.index] == MatchRole::kMatch) {
-          q.report.degradation_level = degradation_level_;
-          q.report.effective_cache_budget = effective_cache_budget();
-          qs.metrics->record_batch(q.report);
-        }
-      } else if (!retryable) {
-        q.report.backoff_ms += task.backoff_total;
-        outcomes[task.index] = MatchOutcome{error, false};
-      } else {
+      std::optional<double> delay;
+      if (!ok && retryable) {
         ++q.report.retries;
-        Task next = task;
-        --next.attempts_left;
-        if (next.attempts_left <= 0) {
-          if (!next.use_cpu && rec.cpu_fallback) {
-            next.use_cpu = true;
-            next.attempts_left = std::max(1, rec.max_cpu_attempts);
-            q.report.cpu_fallback = true;
-          } else {
-            q.report.backoff_ms += task.backoff_total;
-            outcomes[task.index] = MatchOutcome{error, true};
-            cv.notify_all();
-            continue;
-          }
-        }
+        delay = task.ladder.step();
+        q.report.cpu_fallback = task.ladder.fell_back();
+      }
+      if (delay) {
         // Park until the backoff elapses instead of sleeping on a slot. The
         // backoff stays task-local (backoff_total) until a terminal outcome
         // merges it into the report in one step.
-        next.ready_at =
+        task.ready_at =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
-                                   next.backoff_ms));
-        next.backoff_total += next.backoff_ms;
-        next.backoff_ms = std::min(next.backoff_ms * rec.backoff_multiplier,
-                                   rec.backoff_max_ms);
-        queue.push_back(next);
+                                   *delay));
+        task.backoff_total += *delay;
+        queue.push_back(std::move(task));
+      } else {
+        q.report.backoff_ms += task.backoff_total;
+        if (!ok) {
+          // A retryable error here has exhausted the whole ladder.
+          outcomes[task.index] = MatchOutcome{error, retryable};
+        } else if (roles[task.index] == MatchRole::kMatch) {
+          q.report.degradation_level = budget_.level();
+          q.report.effective_cache_budget = budget_.effective();
+          qs.metrics->record_batch(q.report);
+        }
       }
       cv.notify_all();
     }
@@ -830,7 +795,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   const trace::Span batch_span(metrics_.span_batch());
   ServerBatchReport out;
   BatchReport& shared = out.shared;
-  const RecoveryOptions& rec = options_.recovery;
   const BreakerOptions& breaker = options_.breaker;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
@@ -846,34 +810,23 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   if (front != nullptr && front->error != nullptr) {
     std::rethrow_exception(front->error);
   }
-  EdgeBatch owned;
-  const EdgeBatch* use = &batch;
+  const Sanitizer sanitize = [this](const EdgeBatch& b, QuarantineReport& q) {
+    return sanitize_batch(graph_, b, q);
+  };
+  EdgeBatch use;
   if (front != nullptr) {
-    owned = std::move(front->batch);
-    use = &owned;
+    use = std::move(front->batch);
     shared.quarantine = std::move(front->quarantine);
   } else {
-    if (faults_ != nullptr) {
-      owned = batch;
-      inject_batch_corruption(owned, faults_);
-      use = &owned;
-    }
-    if (rec.sanitize_batches) {
-      QuarantineReport quarantine;
-      EdgeBatch clean = sanitize_batch(graph_, *use, quarantine);
-      if (!quarantine.empty()) {
-        owned = std::move(clean);
-        use = &owned;
-      }
-      shared.quarantine = std::move(quarantine);
-    }
+    use = ingest_batch(batch, faults_, options_.recovery, sanitize,
+                       shared.quarantine);
   }
 
   // Recovery fast path: a replayed batch at or below the aggregate anchor
   // is already folded into every counter the image carries — it only needs
   // to move the GRAPH forward (update + reorg, no estimation, no matching).
   if (replaying_ && replay_graph_only_) {
-    phase_update(graph_, *use, options_.check_invariants, metrics_, shared);
+    phase_update(graph_, use, options_.check_invariants, metrics_, shared);
     phase_reorg(graph_, options_.check_invariants, options_.sim, metrics_,
                 shared);
     out.queries.resize(states_.size());
@@ -935,11 +888,11 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // compaction while its commit marker survives.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(*use);
+    wal_seq = durability_.begin_batch(use);
     shared.wal_seq = wal_seq;
   }
 
-  const DynamicGraph::Snapshot snap = graph_.snapshot_for(*use);
+  const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
   auto rollback = [&] {
     graph_.restore(snap);
     if (ctx != nullptr) {
@@ -954,67 +907,19 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     if (options_.check_invariants) graph_.validate();
   };
 
-  // Shared phases 1-3 under the shared recovery ladder. The terminal
-  // escalation is not a CPU re-run (matching has not happened yet) but
-  // dropping the cache: the batch is served zero-copy, which cannot change
-  // any query's counts.
-  bool drop_cache = false;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++shared.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!drop_cache && rec.cpu_fallback) {
-        drop_cache = true;
-        out.cache_dropped = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      // Interruptible parking, not std::this_thread::sleep_for: the shared
-      // ladder runs on the engine thread, and a blocking sleep here stalled
-      // every queued batch behind one flaky shared phase (the same
-      // head-of-line bug the fan-out's ready-at queue already fixed).
-      parker_.park_for_ms(backoff_ms);
-      shared.backoff_ms += backoff_ms;
-      backoff_ms = std::min(backoff_ms * rec.backoff_multiplier,
-                            rec.backoff_max_ms);
-    }
-  };
-
-  for (;;) {
-    try {
-      run_shared_attempt(*use, drop_cache, roles, shared, staged_est,
-                         /*staged_pack=*/ctx != nullptr);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: every registered query needs the k-hop data
-        // resident; shrinking cannot help.
-        throw;
-      }
-      if (!drop_cache &&
-          effective_cache_budget() > rec.min_cache_budget_bytes) {
-        ++degradation_level_;
-        metrics_.note_degradation();
-        clean_device_batches_ = 0;
-        ++shared.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
+  // Shared phases 1-3 under the shared recovery ladder. The escalation is
+  // not a CPU re-run (matching has not happened yet) but dropping the cache:
+  // the batch is served zero-copy, which cannot change any query's counts.
+  RetryLadder ladder(options_.recovery, /*escalated=*/false);
+  run_transaction(
+      ladder, options_.kind, shared, parker_,
+      [&](bool drop_cache) {
+        run_shared_attempt(use, drop_cache, roles, shared, staged_est,
+                           /*staged_pack=*/ctx != nullptr);
+      },
+      rollback,
+      [this] { return budget_.degrade(metrics_); });
+  out.cache_dropped = ladder.fell_back();
 
   // Phase 4: fan the match out across the participating queries. Each
   // query runs on a pool thread with its own executor, counters, and
@@ -1046,18 +951,10 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   if (ctx != nullptr && ctx->next_batch != nullptr) {
     PipelineCtx::Front* nf = ctx->next_front;
     *nf = PipelineCtx::Front{};
-    staging = [this, nf, next = ctx->next_batch, roles] {
+    staging = [this, nf, next = ctx->next_batch, roles, &sanitize] {
       try {
-        nf->batch = *next;
-        if (faults_ != nullptr) {
-          inject_batch_corruption(nf->batch, faults_);
-        }
-        if (options_.recovery.sanitize_batches) {
-          QuarantineReport quarantine;
-          EdgeBatch clean = sanitize_batch(graph_, nf->batch, quarantine);
-          if (!quarantine.empty()) nf->batch = std::move(clean);
-          nf->quarantine = std::move(quarantine);
-        }
+        nf->batch = ingest_batch(*next, faults_, options_.recovery, sanitize,
+                                 nf->quarantine);
         nf->roles = roles;
         if (uses_cache(options_.kind)) {
           // Pre-apply estimation: sees the graph one update earlier than
@@ -1078,7 +975,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
       }
     };
   }
-  run_match_fanout(*use, roles, out, outcomes, staging, sink_override);
+  run_match_fanout(use, roles, out, outcomes, staging, sink_override);
 
   // Terminal per-query outcomes. A full-ladder exhaustion extends the
   // query's consecutive-failure streak; reaching the trip threshold stages
@@ -1186,7 +1083,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     q.report.stats = MatchStats{};
     gpusim::TrafficCounters qcounters;
     HostPolicy policy(graph_);
-    phase_match(EngineKind::kCpu, *qs.engine, graph_, *use, policy,
+    phase_match(EngineKind::kCpu, *qs.engine, graph_, use, policy,
                 qcounters, rejoin_sink, options_.sim, *qs.metrics, q.report);
     q.report.traffic = qcounters.snapshot();
     qs.metrics->record_batch(q.report);
@@ -1198,18 +1095,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   shared.traffic = device_.counters().snapshot();
 
   // The shared budget heals on clean streaks, exactly like the Pipeline.
-  if (!out.cache_dropped && degradation_level_ > 0) {
-    if (shared.retries != 0) {
-      clean_device_batches_ = 0;
-    } else if (++clean_device_batches_ >=
-               std::max(1, rec.heal_after_clean_batches)) {
-      --degradation_level_;
-      clean_device_batches_ = 0;
-    }
-  }
-
-  shared.degradation_level = degradation_level_;
-  shared.effective_cache_budget = effective_cache_budget();
+  if (!out.cache_dropped) budget_.heal(shared.retries == 0);
+  shared.degradation_level = budget_.level();
+  shared.effective_cache_budget = budget_.effective();
   if (faults_ != nullptr) {
     shared.faults_observed = faults_->fired_count() - faults_before;
   }
@@ -1271,14 +1159,12 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // quarantined tenants contribute nothing, re-joining ones contribute
   // their batch delta plus the folded catch-up correction, so the
   // aggregate stays the sum of what every query durably observed.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed +=
-      shared.stats.signed_embeddings + total_missed.signed_embeddings;
-  next.cum_positive += shared.stats.positive + total_missed.positive;
-  next.cum_negative += shared.stats.negative + total_missed.negative;
+  MatchStats committed = shared.stats;
+  committed += MatchStats{total_missed.signed_embeddings,
+                          total_missed.positive, total_missed.negative, 0};
+  const durable::DurableCounters next =
+      advance_counters(cumulative_, committed, wal_seq);
   if (wal_seq != 0) {
-    next.last_seq = wal_seq;
     if (ctx != nullptr) {
       // Group commit: hand the marker (and this batch's transition
       // payloads) to the committer thread. In-memory state advances

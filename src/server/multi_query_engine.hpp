@@ -40,7 +40,7 @@
 // debt exceeds `max_debt_batches` (or durability is off) re-join falls back
 // to a full static recount re-baseline instead.
 //
-// Recovery composes with the existing ladder: shared-phase failures roll
+// Recovery runs the one ladder at two levels: shared-phase failures roll
 // the graph back and retry (device OOM shrinks the shared budget; exhausted
 // retries drop the cache and serve zero-copy); per-query match failures
 // retry and CPU-fall-back for that query alone. Durability logs each batch
@@ -63,6 +63,7 @@
 #include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simt_executor.hpp"
 #include "graph/dynamic_graph.hpp"
@@ -219,8 +220,8 @@ class MultiQueryEngine {
   const DynamicGraph& graph() const { return graph_; }
   gpusim::Device& device() { return device_; }
   const MultiQueryOptions& options() const { return options_; }
-  std::uint64_t effective_cache_budget() const;
-  std::uint32_t degradation_level() const { return degradation_level_; }
+  std::uint64_t effective_cache_budget() const { return budget_.effective(); }
+  std::uint32_t degradation_level() const { return budget_.level(); }
   const durable::DurableCounters& cumulative() const { return cumulative_; }
   const RecoveredState& recovery_info() const { return recovery_info_; }
   const std::string& registry_path() const { return registry_path_; }
@@ -380,8 +381,7 @@ class MultiQueryEngine {
   // A registry change happened while catch-up debt deferred its snapshot;
   // the snapshot fires at the first debt-free commit.
   bool force_snapshot_pending_ = false;
-  std::uint32_t degradation_level_ = 0;
-  int clean_device_batches_ = 0;
+  BudgetLadder budget_{options_.cache_budget_bytes, options_.recovery};
   // Overload degradation: multiplies every per-query walk count in the
   // shared estimate (1.0 = no degradation; see set_walk_scale).
   double walk_scale_ = 1.0;

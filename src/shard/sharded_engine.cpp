@@ -1,10 +1,10 @@
 #include "shard/sharded_engine.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <string>
 
 #include "core/gpu_engine.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/cost_model.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -28,26 +28,34 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
       faults_(options_.fault_injector),
       durability_(options_.durability, options_.fault_injector),
       metrics_(options_.metric_prefix),
-      pool_(options_.workers == 0 ? options_.num_shards : options_.workers),
-      degradation_level_(options_.num_shards, 0),
-      clean_device_batches_(options_.num_shards, 0) {
+      pool_(options_.workers == 0 ? options_.num_shards : options_.workers) {
   sg_.set_fault_injector(faults_);
   shard_metrics_.reserve(options_.num_shards);
+  const std::uint64_t slice = std::max<std::uint64_t>(
+      1, options_.cache_budget_bytes / sg_.num_shards());
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     shard_metrics_.emplace_back(shard_prefix(options_.metric_prefix, s));
+    budgets_.emplace_back(slice, options_.recovery);
   }
   if (options_.kind == EngineKind::kUnifiedMemory) {
     // Same setting as the single-device Pipeline: the UM resident set gets
     // (each shard's share of) the cache budget, so UM genuinely pages.
-    options_.sim.um_page_cache_bytes = std::min<std::uint64_t>(
-        options_.sim.um_page_cache_bytes,
-        std::max<std::uint64_t>(1, options_.cache_budget_bytes /
-                                       options_.num_shards));
+    options_.sim.um_page_cache_bytes =
+        std::min(options_.sim.um_page_cache_bytes, slice);
   }
   if (options_.durability.enabled()) {
-    // Initializes WAL sequencing (and truncates any torn tail). Replay is
-    // not wired for the sharded engine — see the header.
-    cumulative_ = durability_.recover().counters;
+    // Initializes WAL sequencing (and truncates any torn tail). The engine
+    // cannot replay, so committed history fails closed: starting from the
+    // initial graph would append markers whose counters skip it.
+    const RecoveredState recovered = durability_.recover();
+    if (recovered.snapshot_loaded || !recovered.replay.empty()) {
+      throw Error(ErrorCode::kRecovery,
+                  "wal_dir " + options_.durability.wal_dir +
+                      " holds committed batches the sharded engine cannot "
+                      "replay; recover it through a single-device engine "
+                      "(Pipeline or MultiQueryEngine), or start with "
+                      "recover_on_start off to discard it");
+    }
   }
 }
 
@@ -63,14 +71,6 @@ QueryId ShardedMatchEngine::register_query(QueryGraph query, MatchSink sink) {
   return states_.back()->id;
 }
 
-std::uint64_t ShardedMatchEngine::effective_cache_budget(
-    std::size_t s) const {
-  const std::uint64_t per_shard = std::max<std::uint64_t>(
-      1, options_.cache_budget_bytes / sg_.num_shards());
-  const std::uint64_t shrunk = per_shard >> degradation_level_[s];
-  return std::max(shrunk, options_.recovery.min_cache_budget_bytes);
-}
-
 void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
                                      const std::vector<EdgeBatch>& subs,
                                      bool use_cpu, ShardedBatchReport& out,
@@ -79,20 +79,11 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
   const EngineKind kind = use_cpu ? EngineKind::kCpu : options_.kind;
   const gpusim::SimParams& sim = options_.sim;
 
-  // Reset everything a retried attempt accumulates (retries / backoff /
-  // quarantine / wal_seq live on out.shared and persist across attempts).
+  // Reset what a retried attempt accumulates beyond out.shared, which the
+  // transaction loop resets.
   out.shards.assign(shards, BatchReport{});
   out.queries.clear();
   out.stitch = StitchStats{};
-  out.shared.stats = MatchStats{};
-  out.shared.traffic = gpusim::Traffic{};
-  out.shared.walks = 0;
-  out.shared.cached_vertices = 0;
-  out.shared.cache_bytes = 0;
-  out.shared.sim_estimate_s = 0.0;
-  out.shared.sim_pack_s = 0.0;
-  out.shared.sim_match_s = 0.0;
-  out.shared.sim_reorg_s = 0.0;
 
   for (std::size_t s = 0; s < shards; ++s) sg_.device(s).counters().reset();
 
@@ -167,16 +158,15 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
 
   // Step 3: per-shard DCSR pack under this shard's degraded budget slice.
   // VSGM's semantic-residency bound is the shard's configured slice.
-  const std::uint64_t configured_slice = std::max<std::uint64_t>(
-      1, options_.cache_budget_bytes / shards);
   {
     const Timer t;
     for (std::size_t s = 0; s < shards; ++s) {
       oom_shard = s;
       phase_pack(kind, sg_.cache(s), sg_.graph(s), orders[s],
-                 effective_cache_budget(s), configured_slice, sg_.device(s),
-                 sg_.device(s).counters(), options_.check_invariants, sim,
-                 shard_metrics_[s], out.shards[s]);
+                 budgets_[s].effective(), budgets_[s].configured(),
+                 sg_.device(s), sg_.device(s).counters(),
+                 options_.check_invariants, sim, shard_metrics_[s],
+                 out.shards[s]);
     }
     out.shared.wall_pack_ms = t.millis();
   }
@@ -255,38 +245,27 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   }
   const std::size_t shards = sg_.num_shards();
   ShardedBatchReport out;
-  const RecoveryOptions& rec = options_.recovery;
   const std::uint64_t faults_before =
       faults_ != nullptr ? faults_->fired_count() : 0;
 
-  // Ingestion: corrupt (fault site), then screen — decision-for-decision
-  // the single-device path, with liveness answered by the owning shards.
-  EdgeBatch owned;
-  const EdgeBatch* use = &batch;
-  if (faults_ != nullptr) {
-    owned = batch;
-    inject_batch_corruption(owned, faults_);
-    use = &owned;
-  }
-  if (rec.sanitize_batches) {
-    QuarantineReport quarantine;
-    EdgeBatch clean = sg_.sanitize(*use, quarantine);
-    if (!quarantine.empty()) {
-      owned = std::move(clean);
-      use = &owned;
-    }
-    out.shared.quarantine = std::move(quarantine);
-  }
+  // Ingestion: decision-for-decision the single-device path, with liveness
+  // answered by the owning shards.
+  const EdgeBatch use = ingest_batch(
+      batch, faults_, options_.recovery,
+      [this](const EdgeBatch& b, QuarantineReport& q) {
+        return sg_.sanitize(b, q);
+      },
+      out.shared.quarantine);
 
   // One WAL record for the GLOBAL sanitized batch; the per-shard split is
   // deterministic, so recovery can re-derive it.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled()) {
-    wal_seq = durability_.begin_batch(*use);
+    wal_seq = durability_.begin_batch(use);
     out.shared.wal_seq = wal_seq;
   }
 
-  const std::vector<EdgeBatch> subs = sg_.split_batch(*use);
+  const std::vector<EdgeBatch> subs = sg_.split_batch(use);
 
   // The transaction: every shard's touchable state, restorable together.
   std::vector<DynamicGraph::Snapshot> snaps;
@@ -302,81 +281,29 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
     if (options_.check_invariants) sg_.validate();
   };
 
-  bool use_cpu = options_.kind == EngineKind::kCpu;
-  int attempts_left = std::max(1, rec.max_attempts);
-  double backoff_ms = rec.backoff_initial_ms;
-
-  auto retry_or_escalate = [&](const std::exception_ptr& error) {
-    ++out.shared.retries;
-    --attempts_left;
-    if (attempts_left <= 0) {
-      if (!use_cpu && rec.cpu_fallback) {
-        use_cpu = true;
-        attempts_left = std::max(1, rec.max_cpu_attempts);
-        out.shared.cpu_fallback = true;
-      } else {
-        std::rethrow_exception(error);
-      }
-    }
-    if (backoff_ms > 0.0) {
-      parker_.park_for_ms(backoff_ms);
-      out.shared.backoff_ms += backoff_ms;
-      backoff_ms =
-          std::min(backoff_ms * rec.backoff_multiplier, rec.backoff_max_ms);
-    }
-  };
-
+  // Escalation re-runs the batch on the CPU engine; a device OOM shrinks
+  // only the budget of the shard whose pack failed.
+  RetryLadder ladder(options_.recovery, options_.kind == EngineKind::kCpu);
   std::size_t oom_shard = 0;
-  for (;;) {
-    try {
-      run_attempt(*use, subs, use_cpu, out, oom_shard);
-      break;
-    } catch (const gpusim::DeviceOomError&) {
-      rollback();
-      if (options_.kind == EngineKind::kVsgm) {
-        // Semantic OOM: the k-hop slice must be device-resident.
-        throw;
-      }
-      if (!use_cpu &&
-          effective_cache_budget(oom_shard) > rec.min_cache_budget_bytes) {
-        // Only the hot shard steps down its ladder.
-        ++degradation_level_[oom_shard];
-        shard_metrics_[oom_shard].note_degradation();
+  run_transaction(
+      ladder, options_.kind, out.shared, parker_,
+      [&](bool use_cpu) { run_attempt(use, subs, use_cpu, out, oom_shard); },
+      rollback,
+      [&] {
+        if (!budgets_[oom_shard].degrade(shard_metrics_[oom_shard])) {
+          return false;
+        }
         metrics_.note_degradation();
-        clean_device_batches_[oom_shard] = 0;
-        ++out.shared.retries;
-      } else {
-        retry_or_escalate(std::current_exception());
-      }
-    } catch (const Error& e) {
-      rollback();
-      if (!e.transient()) throw;
-      retry_or_escalate(std::current_exception());
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
+        return true;
+      });
+  out.shared.cpu_fallback = ladder.fell_back();
 
-  // Per-shard healing: each ladder earns its budget back independently.
-  if (!use_cpu) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (degradation_level_[s] == 0) continue;
-      if (out.shared.retries != 0) {
-        clean_device_batches_[s] = 0;
-      } else if (++clean_device_batches_[s] >=
-                 std::max(1, rec.heal_after_clean_batches)) {
-        --degradation_level_[s];
-        clean_device_batches_[s] = 0;
-      }
-    }
-  }
-
-  out.shared.degradation_level =
-      *std::max_element(degradation_level_.begin(), degradation_level_.end());
-  out.shared.effective_cache_budget = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.shared.effective_cache_budget += effective_cache_budget(s);
+  // Each shard's budget heals independently.
+  for (BudgetLadder& budget : budgets_) {
+    if (!ladder.escalated()) budget.heal(out.shared.retries == 0);
+    out.shared.degradation_level =
+        std::max(out.shared.degradation_level, budget.level());
+    out.shared.effective_cache_budget += budget.effective();
   }
   if (faults_ != nullptr) {
     out.shared.faults_observed = faults_->fired_count() - faults_before;
@@ -384,13 +311,9 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
 
   // Commit: ONE marker per batch carrying the aggregated per-shard
   // counters; the in-memory cumulative state advances only after it lands.
-  durable::DurableCounters next = cumulative_;
-  next.batches_committed += 1;
-  next.cum_signed += out.shared.stats.signed_embeddings;
-  next.cum_positive += out.shared.stats.positive;
-  next.cum_negative += out.shared.stats.negative;
+  const durable::DurableCounters next =
+      advance_counters(cumulative_, out.shared.stats, wal_seq);
   if (wal_seq != 0) {
-    next.last_seq = wal_seq;
     try {
       durability_.commit_batch(wal_seq, next);
     } catch (...) {
@@ -400,7 +323,7 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   }
   cumulative_ = next;
 
-  sg_.note_applied(*use);
+  sg_.note_applied(use);
   out.cut_edges = sg_.cut_edges();
   out.imbalance = sg_.partition_stats().imbalance;
 

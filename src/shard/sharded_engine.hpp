@@ -26,13 +26,16 @@
 // byte-identical to the single-device view, and anchor routing enumerates
 // each work item exactly once (tests/shard_test.cpp).
 //
-// Recovery mirrors core/pipeline.cpp's transactional ladder: corruption
+// Recovery runs the one transactional ladder (core/recovery.hpp): corruption
 // screening, per-shard snapshots before the attempt, rollback of ALL shards
-// on failure, retries with backoff, CPU escalation, and per-shard OOM
-// degradation. Durability logs the sanitized GLOBAL batch once and commits
-// ONE marker per batch carrying the aggregated per-shard counters;
-// recover_on_start replay is not wired for the sharded engine (replay goes
-// through a single-device engine — counts are identical by construction).
+// on failure, per-batch retries with backoff and CPU escalation, and one
+// OOM budget ladder per shard. Durability logs the sanitized GLOBAL batch
+// once and commits ONE marker per batch carrying the aggregated per-shard
+// counters. The engine never snapshots (snapshot_interval has no effect and
+// the WAL is never compacted) and cannot replay: when recover_on_start finds
+// committed batches or a snapshot, the constructor throws Error(kRecovery).
+// Recover such a wal_dir through a single-device engine (counts are
+// identical by construction), or start with recover_on_start off.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,7 @@
 #include "core/durability.hpp"
 #include "core/frequency_estimator.hpp"
 #include "core/phases.hpp"
+#include "core/recovery.hpp"
 #include "graph/csr_graph.hpp"
 #include "shard/sharded_graph.hpp"
 #include "shard/sharded_matcher.hpp"
@@ -115,9 +119,11 @@ class ShardedMatchEngine {
 
   const ShardedGraph& sharded_graph() const { return sg_; }
   const ShardedEngineOptions& options() const { return options_; }
-  std::uint64_t effective_cache_budget(std::size_t s) const;
+  std::uint64_t effective_cache_budget(std::size_t s) const {
+    return budgets_[s].effective();
+  }
   std::uint32_t degradation_level(std::size_t s) const {
-    return degradation_level_[s];
+    return budgets_[s].level();
   }
   const durable::DurableCounters& cumulative() const { return cumulative_; }
 
@@ -147,9 +153,7 @@ class ShardedMatchEngine {
   ThreadPool pool_;
   util::ParkingLot parker_;
   durable::DurableCounters cumulative_;
-  // Per-shard OOM degradation ladder.
-  std::vector<std::uint32_t> degradation_level_;
-  std::vector<int> clean_device_batches_;
+  std::vector<BudgetLadder> budgets_;  // one per shard, over its budget slice
 };
 
 }  // namespace gcsm::shard

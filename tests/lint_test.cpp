@@ -86,6 +86,18 @@ TEST(Lint, FlagsKernelCopy) {
   EXPECT_NE(diags[0].message.find("candidate_step"), std::string::npos);
 }
 
+TEST(Lint, FlagsLadderCopy) {
+  // The fixture reads ladder knobs from the whitelisted ladder (allowed) and
+  // twice from a private retry loop in server/ (flagged: `.` and `->`).
+  const auto diags = lint_fixture("ladder_copy");
+  ASSERT_EQ(diags.size(), 2u) << render(diags);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "ladder-copy");
+    EXPECT_EQ(d.file, "src/server/bad.cpp");
+    EXPECT_NE(d.message.find("RetryLadder"), std::string::npos);
+  }
+}
+
 TEST(Lint, FlagsNakedLock) {
   const auto diags = lint_fixture("naked_lock");
   ASSERT_EQ(diags.size(), 2u) << render(diags);  // lock() and unlock()

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/list_ref.hpp"
+#include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "query/branch_plan.hpp"
@@ -259,6 +260,52 @@ TEST(Shard, CommitMarkersAggregatePerShardCounters) {
   EXPECT_EQ(engine.cumulative().batches_committed, 3u);
   EXPECT_EQ(engine.cumulative().cum_signed, cum_signed);
   EXPECT_EQ(engine.cumulative().cum_positive, cum_positive);
+  std::filesystem::remove_all(dir);
+}
+
+// The sharded engine cannot replay a WAL, so a restart on committed history
+// fails closed instead of starting from the initial graph and appending
+// markers whose counters no longer add up. The WAL stays recoverable
+// through a single-device engine, and a fresh start scrubs it.
+TEST(Shard, RestartOnCommittedWalFailsClosed) {
+  const StreamFixture f(31);
+  const std::string dir =
+      std::string(::testing::TempDir()) + "gcsm_shard_restart";
+  std::filesystem::remove_all(dir);
+  io::ensure_dir(dir);
+
+  ShardedEngineOptions opt =
+      sharded_options(EngineKind::kGcsm, 4, PartitionStrategy::kHash);
+  opt.durability.wal_dir = dir;
+  durable::DurableCounters committed;
+  {
+    ShardedMatchEngine first(f.stream.initial, opt);
+    first.register_query(make_triangle());
+    for (std::size_t k = 0; k < 3; ++k) {
+      first.process_batch(f.stream.batches[k]);
+    }
+    committed = first.cumulative();
+  }
+
+  try {
+    ShardedMatchEngine restarted(f.stream.initial, opt);
+    FAIL() << "restart on a committed WAL did not fail closed";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kRecovery);
+  }
+
+  PipelineOptions popt;
+  popt.kind = EngineKind::kCpu;
+  popt.durability.wal_dir = dir;
+  {
+    const Pipeline replayed(f.stream.initial, make_triangle(), popt);
+    EXPECT_EQ(replayed.cumulative(), committed);
+  }
+
+  opt.durability.recover_on_start = false;
+  ShardedMatchEngine fresh(f.stream.initial, opt);
+  fresh.register_query(make_triangle());
+  EXPECT_EQ(fresh.process_batch(f.stream.batches[0]).shared.wal_seq, 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -38,6 +38,21 @@ const std::set<std::string> kKernelFiles = {
     "src/core/match_kernel.hpp",
 };
 
+// Files allowed to read the recovery knobs below: the one recovery ladder.
+// Every engine reaches attempts, backoff, escalation and budget healing
+// through RetryLadder / BudgetLadder, so a ladder change lands once
+// (docs/ROBUSTNESS.md, "Transactional batches and the recovery ladder").
+const std::set<std::string> kLadderFiles = {
+    "src/core/recovery.hpp",
+    "src/core/recovery.cpp",
+};
+const std::set<std::string> kLadderKnobs = {
+    "max_attempts",           "max_cpu_attempts",
+    "backoff_initial_ms",     "backoff_multiplier",
+    "backoff_max_ms",         "heal_after_clean_batches",
+    "min_cache_budget_bytes",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -317,6 +332,24 @@ void check_kernel_copies(const FileContext& ctx) {
   }
 }
 
+void check_ladder_copies(const FileContext& ctx) {
+  if (kLadderFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == TokKind::kPunct &&
+        (toks[i].text == "." || toks[i].text == "->") &&
+        toks[i + 1].kind == TokKind::kIdent &&
+        kLadderKnobs.count(toks[i + 1].text) != 0) {
+      emit(ctx, toks[i + 1].line, "ladder-copy",
+           "read of RecoveryOptions::" + toks[i + 1].text +
+               " outside the recovery ladder; drive attempts, backoff and "
+               "budgets through RetryLadder / BudgetLadder "
+               "(core/recovery.hpp) so every engine keeps running the one "
+               "ladder");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -401,6 +434,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_throws(ctx);
     check_relaxed_atomics(ctx);
     check_kernel_copies(ctx);
+    check_ladder_copies(ctx);
     check_naked_locks(ctx);
   }
 

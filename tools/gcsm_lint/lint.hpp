@@ -26,6 +26,10 @@
 //                        and the match kernel (core/match_kernel.hpp): a
 //                        second candidate loop that kernel changes would
 //                        miss.
+//   ladder-copy          a member access to a RecoveryOptions ladder knob
+//                        (max_attempts, backoff_*, min_cache_budget_bytes,
+//                        ...) outside the recovery ladder (core/recovery.*):
+//                        a second retry or budget ladder.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
