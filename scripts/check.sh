@@ -86,8 +86,8 @@ run_preset() {
     if ! run ctest --preset breaker-asan -j "${JOBS}"; then
       failures+=("breaker-asan: tests")
     fi
-    # Pipelined batch schedule (process_stream staging, double-buffered
-    # cache epochs, group-commit surfacing) under asan/ubsan.
+    # Pipelined batch schedule (process_stream staging, group-commit
+    # surfacing) under asan/ubsan.
     if ! run ctest --preset pipeline-asan -j "${JOBS}"; then
       failures+=("pipeline-asan: tests")
     fi

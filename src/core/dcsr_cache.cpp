@@ -17,43 +17,7 @@ void DcsrCache::build(const DynamicGraph& graph,
                       std::uint64_t byte_budget, gpusim::Device& device,
                       gpusim::TrafficCounters& counters) {
   clear();
-  build_into(active_, graph, vertices, byte_budget, device, counters);
-}
 
-void DcsrCache::build_staged(const DynamicGraph& graph,
-                             const std::vector<VertexId>& vertices,
-                             std::uint64_t byte_budget, gpusim::Device& device,
-                             gpusim::TrafficCounters& counters) {
-  staged_.reset();
-  staged_valid_ = false;
-  // The staged build gets the FULL budget: the previous epoch's last
-  // consumer (the prior batch's match fan-out) has already completed by the
-  // time the pack phase runs, so the old blob is garbage awaiting the swap.
-  // Charging it against the new epoch starves alternate batches to an empty
-  // cache whenever one epoch fills the budget. The allocate-then-swap
-  // transient does double-occupy the device by up to one epoch until
-  // publish() frees the old blob — steady-state residency stays within
-  // budget, and the OOM ladder still governs genuine device exhaustion.
-  build_into(staged_, graph, vertices, byte_budget, device, counters);
-  staged_valid_ = true;
-}
-
-void DcsrCache::publish() {
-  if (!staged_valid_) return;
-  active_ = std::move(staged_);
-  staged_.reset();
-  staged_valid_ = false;
-}
-
-void DcsrCache::discard_staged() {
-  staged_.reset();
-  staged_valid_ = false;
-}
-
-void DcsrCache::build_into(Slot& slot, const DynamicGraph& graph,
-                           const std::vector<VertexId>& vertices,
-                           std::uint64_t byte_budget, gpusim::Device& device,
-                           gpusim::TrafficCounters& counters) {
   static auto& m_builds = metrics::Registry::global().counter(metric::kCacheBuilds);
   static auto& m_failures =
       metrics::Registry::global().counter(metric::kCacheBuildFailures);
@@ -96,18 +60,17 @@ void DcsrCache::build_into(Slot& slot, const DynamicGraph& graph,
                  selected.end());
 
   // An empty hot set (every update quarantined, or a budget too small for a
-  // single row) leaves the slot cleared instead of packing a sentinel-only
+  // single row) leaves the cache cleared instead of packing a sentinel-only
   // blob: validate() pins "no rows" to "no arrays, no blob".
   if (selected.empty()) {
-    slot.reset();
     m_builds.add();
     m_blob_gauge.set(0.0);
     return;
   }
 
-  // Everything below works on locals; the slot is assigned only once the
-  // allocation and the DMA have both succeeded, so a throw from either
-  // leaves it in its cleared (valid, empty) state.
+  // Everything below works on locals; the members are assigned only once
+  // the allocation and the DMA have both succeeded, so a throw from either
+  // leaves the cache in its cleared (valid, empty) state.
   const auto row_count = static_cast<std::uint32_t>(selected.size());
   const std::uint64_t rowptr_bytes =
       (static_cast<std::uint64_t>(row_count) + 1) * sizeof(RowPtr);
@@ -159,105 +122,96 @@ void DcsrCache::build_into(Slot& slot, const DynamicGraph& graph,
   m_bytes.add(blob_bytes);
   m_blob_gauge.set(static_cast<double>(blob_bytes));
 
-  slot.blob = std::move(blob);
-  slot.row_count = row_count;
-  slot.blob_bytes = blob_bytes;
-  slot.rowptr = reinterpret_cast<const RowPtr*>(slot.blob.data());
-  slot.rowidx =
-      reinterpret_cast<const VertexId*>(slot.blob.data() + rowptr_bytes);
-  slot.colidx = reinterpret_cast<const VertexId*>(slot.blob.data() +
-                                                  rowptr_bytes + rowidx_bytes);
-}
-
-void DcsrCache::clear() {
-  active_.reset();
-  staged_.reset();
-  staged_valid_ = false;
+  blob_ = std::move(blob);
+  row_count_ = row_count;
+  blob_bytes_ = blob_bytes;
+  rowptr_ = reinterpret_cast<const RowPtr*>(blob_.data());
+  rowidx_ = reinterpret_cast<const VertexId*>(blob_.data() + rowptr_bytes);
+  colidx_ = reinterpret_cast<const VertexId*>(blob_.data() + rowptr_bytes +
+                                              rowidx_bytes);
 }
 
 std::optional<NeighborView> DcsrCache::lookup(
     VertexId v, ViewMode mode, std::uint32_t& search_steps) const {
-  const Slot& s = active_;
   search_steps = 0;
   std::uint32_t lo = 0;
-  std::uint32_t hi = s.row_count;
+  std::uint32_t hi = row_count_;
   while (lo < hi) {
     ++search_steps;
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (s.rowidx[mid] < v) {
+    if (rowidx_[mid] < v) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo >= s.row_count || s.rowidx[lo] != v) return std::nullopt;
+  if (lo >= row_count_ || rowidx_[lo] != v) return std::nullopt;
 
-  const std::int64_t begin = s.rowptr[lo].begin;
-  const std::int64_t new_begin = s.rowptr[lo].new_begin;
-  const std::int64_t end = s.rowptr[lo + 1].begin;
+  const std::int64_t begin = rowptr_[lo].begin;
+  const std::int64_t new_begin = rowptr_[lo].new_begin;
+  const std::int64_t end = rowptr_[lo + 1].begin;
   const std::int64_t prefix_end = new_begin < 0 ? end : new_begin;
   GCSM_ASSERT(begin <= prefix_end && prefix_end <= end,
               "DCSR row offsets out of order");
 
   NeighborView view;
   view.mode = mode;
-  view.prefix = {s.colidx + begin,
+  view.prefix = {colidx_ + begin,
                  static_cast<std::uint32_t>(prefix_end - begin)};
   if (mode == ViewMode::kNew && new_begin >= 0) {
-    view.appended = {s.colidx + new_begin,
+    view.appended = {colidx_ + new_begin,
                      static_cast<std::uint32_t>(end - new_begin)};
   }
   return view;
 }
 
 void DcsrCache::validate(const DynamicGraph* graph) const {
-  const Slot& s = active_;
-  if (s.row_count == 0) {
-    GCSM_CHECK(s.rowidx == nullptr && s.rowptr == nullptr &&
-                   s.colidx == nullptr,
+  if (row_count_ == 0) {
+    GCSM_CHECK(rowidx_ == nullptr && rowptr_ == nullptr &&
+                   colidx_ == nullptr,
                "empty cache holds dangling array pointers");
-    GCSM_CHECK(s.blob_bytes == 0, "empty cache reports a non-zero blob");
+    GCSM_CHECK(blob_bytes_ == 0, "empty cache reports a non-zero blob");
     return;
   }
 
-  GCSM_CHECK(s.blob.valid(), "cache rows without a device blob");
+  GCSM_CHECK(blob_.valid(), "cache rows without a device blob");
   const std::uint64_t rowptr_bytes =
-      (static_cast<std::uint64_t>(s.row_count) + 1) * sizeof(RowPtr);
+      (static_cast<std::uint64_t>(row_count_) + 1) * sizeof(RowPtr);
   const std::uint64_t rowidx_bytes =
-      static_cast<std::uint64_t>(s.row_count) * sizeof(VertexId);
-  GCSM_CHECK(s.blob_bytes == s.blob.size(),
+      static_cast<std::uint64_t>(row_count_) * sizeof(VertexId);
+  GCSM_CHECK(blob_bytes_ == blob_.size(),
              "blob byte counter disagrees with the device buffer");
-  GCSM_CHECK(s.blob_bytes >= rowptr_bytes + rowidx_bytes,
+  GCSM_CHECK(blob_bytes_ >= rowptr_bytes + rowidx_bytes,
              "blob smaller than its own header arrays");
   const auto colidx_len = static_cast<std::int64_t>(
-      (s.blob_bytes - rowptr_bytes - rowidx_bytes) / sizeof(VertexId));
+      (blob_bytes_ - rowptr_bytes - rowidx_bytes) / sizeof(VertexId));
 
   // The three arrays must tile the blob in rowptr / rowidx / colidx order.
-  const auto* base = s.blob.data();
-  GCSM_CHECK(reinterpret_cast<const std::byte*>(s.rowptr) == base,
+  const auto* base = blob_.data();
+  GCSM_CHECK(reinterpret_cast<const std::byte*>(rowptr_) == base,
              "rowptr does not start the blob");
-  GCSM_CHECK(reinterpret_cast<const std::byte*>(s.rowidx) ==
+  GCSM_CHECK(reinterpret_cast<const std::byte*>(rowidx_) ==
                  base + rowptr_bytes,
              "rowidx not contiguous after rowptr");
-  GCSM_CHECK(reinterpret_cast<const std::byte*>(s.colidx) ==
+  GCSM_CHECK(reinterpret_cast<const std::byte*>(colidx_) ==
                  base + rowptr_bytes + rowidx_bytes,
              "colidx not contiguous after rowidx");
 
-  GCSM_CHECK(s.rowptr[0].begin == 0, "first row does not start at offset 0");
-  GCSM_CHECK(s.rowptr[s.row_count].begin == colidx_len,
+  GCSM_CHECK(rowptr_[0].begin == 0, "first row does not start at offset 0");
+  GCSM_CHECK(rowptr_[row_count_].begin == colidx_len,
              "rowptr sentinel does not equal the colidx length");
-  GCSM_CHECK(s.rowptr[s.row_count].new_begin == -1,
+  GCSM_CHECK(rowptr_[row_count_].new_begin == -1,
              "rowptr sentinel carries an appended offset");
 
-  for (std::uint32_t i = 0; i < s.row_count; ++i) {
+  for (std::uint32_t i = 0; i < row_count_; ++i) {
     const std::string ctx = "cached row " + std::to_string(i);
     if (i > 0) {
-      GCSM_CHECK(s.rowidx[i - 1] < s.rowidx[i],
+      GCSM_CHECK(rowidx_[i - 1] < rowidx_[i],
                  ctx + ": rowidx not strictly ascending");
     }
-    const std::int64_t begin = s.rowptr[i].begin;
-    const std::int64_t end = s.rowptr[i + 1].begin;
-    const std::int64_t new_begin = s.rowptr[i].new_begin;
+    const std::int64_t begin = rowptr_[i].begin;
+    const std::int64_t end = rowptr_[i + 1].begin;
+    const std::int64_t new_begin = rowptr_[i].new_begin;
     GCSM_CHECK(begin <= end, ctx + ": row offsets not monotone");
     GCSM_CHECK(begin >= 0 && end <= colidx_len,
                ctx + ": row offsets outside the colidx extent");
@@ -272,20 +226,20 @@ void DcsrCache::validate(const DynamicGraph* graph) const {
     // layout DynamicGraph::validate() enforces on the source lists.
     for (std::int64_t j = begin + 1; j < prefix_end; ++j) {
       GCSM_CHECK(
-          decode_neighbor(s.colidx[j - 1]) < decode_neighbor(s.colidx[j]),
+          decode_neighbor(colidx_[j - 1]) < decode_neighbor(colidx_[j]),
           ctx + ": prefix not strictly sorted by decoded id");
     }
     for (std::int64_t j = prefix_end; j < end; ++j) {
-      GCSM_CHECK(!is_deleted_neighbor(s.colidx[j]),
+      GCSM_CHECK(!is_deleted_neighbor(colidx_[j]),
                  ctx + ": tombstone in appended run");
       if (j > prefix_end) {
-        GCSM_CHECK(s.colidx[j - 1] < s.colidx[j],
+        GCSM_CHECK(colidx_[j - 1] < colidx_[j],
                    ctx + ": appended run not strictly sorted");
       }
     }
 
     if (graph != nullptr) {
-      const VertexId v = s.rowidx[i];
+      const VertexId v = rowidx_[i];
       GCSM_CHECK(v >= 0 && v < graph->num_vertices(),
                  ctx + ": cached vertex not in the graph");
       const NeighborView src = graph->view(v, ViewMode::kNew);
@@ -295,10 +249,10 @@ void DcsrCache::validate(const DynamicGraph* graph) const {
       GCSM_CHECK(static_cast<std::int64_t>(src.appended.size) ==
                      end - prefix_end,
                  ctx + ": cached appended length differs from the graph");
-      GCSM_CHECK(std::memcmp(s.colidx + begin, src.prefix.data,
+      GCSM_CHECK(std::memcmp(colidx_ + begin, src.prefix.data,
                              src.prefix.size * sizeof(VertexId)) == 0,
                  ctx + ": cached prefix is not a verbatim copy");
-      GCSM_CHECK(std::memcmp(s.colidx + prefix_end, src.appended.data,
+      GCSM_CHECK(std::memcmp(colidx_ + prefix_end, src.appended.data,
                              src.appended.size * sizeof(VertexId)) == 0,
                  ctx + ": cached appended run is not a verbatim copy");
     }

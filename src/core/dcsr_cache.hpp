@@ -25,12 +25,6 @@
 
 namespace gcsm {
 
-// Double-buffered (docs/MULTI_QUERY.md, "Pipelined schedule"): the ACTIVE
-// epoch is what lookup()/validate() serve — the blob the in-flight match
-// kernel reads — while build_staged() packs the NEXT batch's image into a
-// second slot without disturbing it. publish() swaps the staged epoch in.
-// The serial build() keeps its original single-epoch semantics (both slots
-// cleared first), so single-query pipelines are unchanged.
 class DcsrCache {
  public:
   DcsrCache() = default;
@@ -42,40 +36,17 @@ class DcsrCache {
   // descending priority). Throws DeviceOomError only if even the empty blob
   // does not fit. Exception-safe: if the allocation, the DMA, or the armed
   // cache.build fault site throws, the cache is left cleared (empty and
-  // valid), never half-built. Discards any staged epoch.
+  // valid), never half-built.
   void build(const DynamicGraph& graph,
              const std::vector<VertexId>& vertices,
              std::uint64_t byte_budget, gpusim::Device& device,
              gpusim::TrafficCounters& counters);
 
-  // Packs the next epoch into the staged slot without touching the active
-  // one, for an atomic publish() swap. Charged the full `byte_budget`: the
-  // active epoch's last consumer has finished before the pack phase runs,
-  // so only the allocate-then-swap transient double-occupies the device
-  // (bounded by one epoch, until publish() frees the old blob).
-  // Exception-safe: a throw leaves the ACTIVE epoch intact and the staged
-  // slot empty.
-  void build_staged(const DynamicGraph& graph,
-                    const std::vector<VertexId>& vertices,
-                    std::uint64_t byte_budget, gpusim::Device& device,
-                    gpusim::TrafficCounters& counters);
+  void clear() { *this = DcsrCache(); }
 
-  // Swaps the staged epoch in as active and frees the previous active blob.
-  // No-op when nothing is staged.
-  void publish();
-
-  // Drops the staged epoch (roles changed, rollback); active is untouched.
-  void discard_staged();
-
-  bool has_staged() const { return staged_valid_; }
-  std::uint32_t staged_num_cached() const { return staged_.row_count; }
-  std::uint64_t staged_blob_bytes() const { return staged_.blob_bytes; }
-
-  void clear();
-
-  bool empty() const { return active_.row_count == 0; }
-  std::uint32_t num_cached() const { return active_.row_count; }
-  std::uint64_t blob_bytes() const { return active_.blob_bytes; }
+  bool empty() const { return row_count_ == 0; }
+  std::uint32_t num_cached() const { return row_count_; }
+  std::uint64_t blob_bytes() const { return blob_bytes_; }
 
   // Kernel-side lookup: binary search on rowidx. Returns the cached view of
   // v (pointers into device memory) or nullopt on miss. `search_steps`
@@ -98,31 +69,13 @@ class DcsrCache {
     std::int64_t new_begin = 0;  // start of appended entries, or -1
   };
 
-  // One cache epoch: a packed blob plus its typed array views.
-  struct Slot {
-    gpusim::DeviceBuffer blob;
-    const VertexId* rowidx = nullptr;
-    const RowPtr* rowptr = nullptr;  // row_count + 1 entries (sentinel)
-    const VertexId* colidx = nullptr;
-    std::uint32_t row_count = 0;
-    std::uint64_t blob_bytes = 0;
-
-    void reset() { *this = Slot(); }
-  };
-
-  // Packs `vertices` into `slot` (replacing its contents only on success).
-  void build_into(Slot& slot, const DynamicGraph& graph,
-                  const std::vector<VertexId>& vertices,
-                  std::uint64_t byte_budget, gpusim::Device& device,
-                  gpusim::TrafficCounters& counters);
-
-  Slot active_;
-  Slot staged_;
-  // True between a successful build_staged() and its publish()/discard —
-  // distinct from staged_.row_count, which is legitimately zero when the
-  // budget admitted no rows (the swap must still happen so the active epoch
-  // matches the graph it was packed from).
-  bool staged_valid_ = false;
+  // The packed blob plus its typed array views.
+  gpusim::DeviceBuffer blob_;
+  const VertexId* rowidx_ = nullptr;
+  const RowPtr* rowptr_ = nullptr;  // row_count_ + 1 entries (sentinel)
+  const VertexId* colidx_ = nullptr;
+  std::uint32_t row_count_ = 0;
+  std::uint64_t blob_bytes_ = 0;
 };
 
 }  // namespace gcsm

@@ -34,15 +34,15 @@ std::vector<VertexId> select_by_degree(const DynamicGraph& graph) {
   return out;
 }
 
-std::vector<VertexId> khop_vertices(const DynamicGraph& graph,
+std::vector<VertexId> khop_vertices(const ListSource& lists,
+                                    VertexId num_vertices,
                                     const EdgeBatch& batch,
                                     std::uint32_t hops) {
-  std::vector<std::uint8_t> seen(
-      static_cast<std::size_t>(graph.num_vertices()), 0);
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(num_vertices), 0);
   std::vector<VertexId> order;
   std::vector<VertexId> frontier;
   auto add = [&](VertexId v) {
-    if (!seen[v]) {
+    if (v < num_vertices && !seen[v]) {
       seen[v] = 1;
       order.push_back(v);
       frontier.push_back(v);
@@ -57,7 +57,7 @@ std::vector<VertexId> khop_vertices(const DynamicGraph& graph,
     std::vector<VertexId> next;
     for (const VertexId u : frontier) {
       nbrs.clear();
-      materialize_view(graph.view(u, ViewMode::kNew), nbrs);
+      materialize_view(lists(u).view(u, ViewMode::kNew), nbrs);
       for (const VertexId v : nbrs) {
         if (!seen[v]) {
           seen[v] = 1;
@@ -69,6 +69,14 @@ std::vector<VertexId> khop_vertices(const DynamicGraph& graph,
     frontier = std::move(next);
   }
   return order;
+}
+
+std::vector<VertexId> khop_vertices(const DynamicGraph& graph,
+                                    const EdgeBatch& batch,
+                                    std::uint32_t hops) {
+  return khop_vertices(
+      [&graph](VertexId) -> const DynamicGraph& { return graph; },
+      graph.num_vertices(), batch, hops);
 }
 
 std::uint64_t total_list_bytes(const DynamicGraph& graph,

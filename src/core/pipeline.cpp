@@ -1,8 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-
-#include "core/gpu_engine.hpp"
 #include "core/recovery.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -28,15 +25,9 @@ Pipeline::Pipeline(const CsrGraph& initial, QueryGraph query,
   executor_.set_watchdog_timeout_ms(options_.recovery.watchdog_timeout_ms);
   graph_.set_fault_injector(faults_);
   if (options_.kind == EngineKind::kUnifiedMemory) {
-    // The unified-memory resident set gets the same device buffer the
-    // cached engines use (the paper's setting: the graph far exceeds what
-    // the device can hold, so UM thrashes pages). Without this the page
-    // cache would silently swallow a scaled-down graph whole.
-    gpusim::SimParams um_params = options_.sim;
-    um_params.um_page_cache_bytes =
-        std::min<std::uint64_t>(um_params.um_page_cache_bytes,
-                                options_.cache_budget_bytes);
-    um_policy_ = std::make_unique<UnifiedMemoryPolicy>(graph_, um_params);
+    um_policy_ = std::make_unique<UnifiedMemoryPolicy>(
+        graph_,
+        clamp_um_resident_set(options_.sim, options_.cache_budget_bytes));
   }
 
   if (options_.durability.enabled()) {
@@ -84,14 +75,15 @@ void Pipeline::run_attempt(const EdgeBatch& batch, const MatchSink* sink,
   phase_update(graph_, batch, options_.check_invariants, metrics_, report);
 
   // Step 2: frequency estimation (GCSM; degree / k-hop for the baselines).
-  const std::vector<VertexId> cache_order =
-      phase_estimate(kind, estimator_, graph_, batch, rng_,
-                     engine_.query().diameter(), sim, metrics_, report);
+  const CacheOrder cache_order = phase_estimate(
+      kind, graph_, batch, {{&estimator_, &rng_, 1.0, &metrics_}},
+      engine_.query().diameter(), 1.0, nullptr, sim, metrics_);
+  cache_order.report_into(report);
 
   // Step 3: pack the selected lists as DCSR and DMA to the device.
-  phase_pack(kind, cache_, graph_, cache_order, effective_cache_budget(),
-             options_.cache_budget_bytes, device_, counters,
-             options_.check_invariants, sim, metrics_, report);
+  phase_pack(kind, cache_, graph_, cache_order.order,
+             effective_cache_budget(), options_.cache_budget_bytes, device_,
+             counters, options_.check_invariants, sim, metrics_, report);
 
   // Step 4: incremental matching. UM keeps its page cache across batches.
   const std::unique_ptr<AccessPolicy> fresh =

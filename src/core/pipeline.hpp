@@ -100,7 +100,8 @@ class Pipeline {
   std::uint64_t count_current_embeddings();
 
   // The cache budget after degradation: cache_budget_bytes halved
-  // degradation_level() times, floored at min_cache_budget_bytes.
+  // degradation_level() times, floored at min_cache_budget_bytes (a smaller
+  // cache_budget_bytes is used as configured).
   std::uint64_t effective_cache_budget() const { return budget_.effective(); }
   std::uint32_t degradation_level() const { return budget_.level(); }
 

@@ -32,7 +32,9 @@ std::optional<double> RetryLadder::step() {
 BudgetLadder::BudgetLadder(std::uint64_t configured_bytes,
                            const RecoveryOptions& options)
     : configured_(configured_bytes),
-      floor_(options.min_cache_budget_bytes),
+      // The floor bounds degradation only: it never raises a budget
+      // configured below it.
+      floor_(std::min(options.min_cache_budget_bytes, configured_bytes)),
       heal_after_(std::max(1, options.heal_after_clean_batches)) {}
 
 std::uint64_t BudgetLadder::effective() const {

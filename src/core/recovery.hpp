@@ -49,8 +49,9 @@ class RetryLadder {
 };
 
 // The device-OOM degradation ladder of one cache budget: each OOM halves the
-// effective budget down to min_cache_budget_bytes, and every
-// heal_after_clean_batches clean batches in a row double it back one step.
+// effective budget down to min_cache_budget_bytes (or the configured budget,
+// when that is smaller), and every heal_after_clean_batches clean batches in
+// a row double it back one step.
 class BudgetLadder {
  public:
   BudgetLadder(std::uint64_t configured_bytes, const RecoveryOptions& options);

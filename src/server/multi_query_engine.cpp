@@ -56,7 +56,7 @@ struct MultiQueryEngine::PipelineCtx {
     EdgeBatch batch;              // corrupted + sanitized next batch
     QuarantineReport quarantine;
     std::vector<MatchRole> roles;  // role snapshot the estimate assumed
-    StagedEstimate est;
+    std::optional<CacheOrder> est;  // absent for kinds that cache nothing
     std::exception_ptr error;      // staging failed; rethrown on consume
   };
 
@@ -245,13 +245,9 @@ std::unique_ptr<MultiQueryEngine::QueryState> MultiQueryEngine::make_state(
   qs->estimator = std::make_unique<FrequencyEstimator>(qs->engine->query(),
                                                        options_.estimator);
   if (options_.kind == EngineKind::kUnifiedMemory) {
-    // Same resident-set clamp as the single-query Pipeline: the page cache
-    // must not silently swallow a scaled-down graph whole.
-    gpusim::SimParams um_params = options_.sim;
-    um_params.um_page_cache_bytes =
-        std::min<std::uint64_t>(um_params.um_page_cache_bytes,
-                                options_.cache_budget_bytes);
-    qs->um_policy = std::make_unique<UnifiedMemoryPolicy>(graph_, um_params);
+    qs->um_policy = std::make_unique<UnifiedMemoryPolicy>(
+        graph_,
+        clamp_um_resident_set(options_.sim, options_.cache_budget_bytes));
   }
   qs->metrics = std::make_unique<PipelineMetrics>(
       options_.metric_prefix + "q" + std::to_string(entry.id) + ".");
@@ -408,112 +404,65 @@ const QueryHealth& MultiQueryEngine::query_health(QueryId id) const {
   return entry->health;
 }
 
-MultiQueryEngine::StagedEstimate MultiQueryEngine::compute_shared_estimate(
+CacheOrder MultiQueryEngine::shared_cache_order(
     const EdgeBatch& batch, const std::vector<MatchRole>& roles) {
-  // ONE cross-query estimation. GCSM combines per-query random-walk
+  // ONE cross-query cache order. GCSM combines per-query random-walk
   // estimates by weight into a single frequency vector; the baselines'
   // orders are query-independent (degree) or take the worst case over the
   // registered patterns (VSGM's k = max diameter). Only queries actually
-  // matching this batch contribute — a quarantined tenant neither spends
-  // walk budget nor biases the shared cache (safe: cache content never
-  // changes match counts, and each query draws from its own rng stream).
-  // Pure reads on the graph plus per-query estimator/rng state, so the
-  // pipelined schedule stages it on a pool thread while the previous
-  // batch's matches are in flight (pre-apply: the estimate then sees the
-  // graph one update earlier than the serial schedule — a cache-content
-  // difference only, never a count difference).
-  const gpusim::SimParams& sim = options_.sim;
-  StagedEstimate out;
-  const trace::Span span(metrics_.span_estimate());
-  const Timer t;
-  if (options_.kind == EngineKind::kGcsm) {
-    std::vector<double> combined(
-        static_cast<std::size_t>(graph_.num_vertices()), 0.0);
-    std::uint64_t total_ops = 0;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (roles[i] != MatchRole::kMatch) continue;
-      QueryState& qs = *states_[i];
-      const EstimateResult est =
-          qs.estimator->estimate(graph_, batch, qs.rng, walk_scale_);
-      qs.metrics->note_estimate(est);
-      out.walks += est.walks;
-      total_ops += est.ops;
-      const std::size_t m = std::min(combined.size(), est.frequency.size());
-      for (std::size_t v = 0; v < m; ++v) {
-        combined[v] += qs.weight * est.frequency[v];
-      }
+  // matching this batch contribute walks — a quarantined tenant neither
+  // spends walk budget nor biases the shared cache (safe: cache content
+  // never changes match counts, and each query draws from its own rng
+  // stream). The hop count stays the max over ALL registered queries,
+  // quarantined ones included: VSGM's residency is a semantic requirement
+  // and a re-joining tenant must find its k-hop data present immediately.
+  // The pipelined schedule stages this during the previous batch's matches,
+  // pre-apply: the order then sees the graph one update earlier than the
+  // serial schedule — a cache-content difference only, never a count
+  // difference.
+  std::vector<WalkContributor> walkers;
+  std::uint32_t hops = 0;
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    QueryState& qs = *states_[i];
+    hops = std::max(hops, qs.engine->query().diameter());
+    if (roles[i] == MatchRole::kMatch) {
+      walkers.push_back(
+          {qs.estimator.get(), &qs.rng, qs.weight, qs.metrics.get()});
     }
-    out.order = select_by_frequency(combined);
-    out.sim_estimate_s = static_cast<double>(total_ops) /
-                         (sim.host_ops_per_sec_per_thread * sim.host_threads);
-  } else if (options_.kind == EngineKind::kNaiveDegree) {
-    out.order = select_by_degree(graph_);
-    out.sim_estimate_s = static_cast<double>(graph_.num_vertices()) /
-                         (sim.host_ops_per_sec_per_thread * sim.host_threads);
-  } else {  // kVsgm
-    // Hop count stays the max over ALL registered queries (including
-    // quarantined ones): VSGM's residency is a semantic requirement and a
-    // re-joining tenant must find its k-hop data present immediately.
-    std::uint32_t hops = 0;
-    for (const auto& qsp : states_) {
-      hops = std::max(hops, qsp->engine->query().diameter());
-    }
-    out.order = khop_vertices(graph_, batch, hops);
-    out.sim_estimate_s = static_cast<double>(total_list_bytes(graph_, out.order)) /
-                         (sim.host_mem_bandwidth_gbps * 1e9);
   }
-  out.wall_estimate_ms = t.millis();
-  out.valid = true;
-  return out;
+  return phase_estimate(options_.kind, graph_, batch, walkers, hops,
+                        walk_scale_, nullptr, options_.sim, metrics_);
 }
 
 void MultiQueryEngine::run_shared_attempt(const EdgeBatch& batch,
                                           bool drop_cache,
                                           const std::vector<MatchRole>& roles,
                                           BatchReport& shared,
-                                          const StagedEstimate* staged_est,
-                                          bool staged_pack) {
+                                          const CacheOrder* staged) {
   gpusim::TrafficCounters& counters = device_.counters();
   counters.reset();
-  const gpusim::SimParams& sim = options_.sim;
 
   // Step 1: dynamic graph maintenance — once for every query.
   phase_update(graph_, batch, options_.check_invariants, metrics_, shared);
 
-  if (drop_cache || !uses_cache(options_.kind)) {
-    // Terminal degradation under the pipelined schedule also clears the
-    // previous ACTIVE epoch, so "served zero-copy" means the same thing on
-    // both schedules (an empty cache, not a stale one).
-    if (staged_pack) cache_.clear();
-    return;
-  }
+  if (drop_cache || !uses_cache(options_.kind)) return;
 
-  // Step 2: the shared estimate — precomputed by the pipelined schedule
-  // during the previous fan-out when its role snapshot held, recomputed
-  // inline otherwise (and on every serial attempt, matching the original
-  // retry semantics).
-  StagedEstimate local;
-  if (staged_est == nullptr || !staged_est->valid) {
-    local = compute_shared_estimate(batch, roles);
-    staged_est = &local;
+  // Step 2: the shared cache order — staged by the pipelined schedule
+  // during the previous fan-out when its role snapshot held, computed
+  // inline on every attempt otherwise.
+  CacheOrder inline_order;
+  if (staged == nullptr) {
+    inline_order = shared_cache_order(batch, roles);
+    staged = &inline_order;
   }
-  shared.walks = staged_est->walks;
-  shared.sim_estimate_s = staged_est->sim_estimate_s;
-  shared.wall_estimate_ms = staged_est->wall_estimate_ms;
+  staged->report_into(shared);
 
   // Step 3: ONE DCSR pack + DMA under the shared (possibly degraded)
-  // budget. The pipelined schedule packs through the staged epoch (the
-  // active one conceptually still serves the in-flight previous match) and
-  // publishes before the fan-out needs it; validation runs post-publish
-  // because the staged blob is checked against the already-updated graph.
-  phase_pack(options_.kind, cache_, graph_, staged_est->order,
+  // budget.
+  phase_pack(options_.kind, cache_, graph_, staged->order,
              budget_.effective(), options_.cache_budget_bytes, device_,
-             counters, options_.check_invariants, sim, metrics_, shared,
-             staged_pack);
-  if (staged_pack) {
-    cache_.publish();
-    if (options_.check_invariants) cache_.validate(&graph_);
-  }
+             counters, options_.check_invariants, options_.sim, metrics_,
+             shared);
 }
 
 void MultiQueryEngine::match_attempt(QueryState& qs, const EdgeBatch& batch,
@@ -864,15 +813,15 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // discards the staged order and re-estimates inline — cache content is
   // count-neutral, but walk budget and arbitration must follow the roles
   // that actually match.
-  const StagedEstimate* staged_est = nullptr;
-  if (front != nullptr && front->est.valid) {
+  const CacheOrder* staged_est = nullptr;
+  if (front != nullptr && front->est) {
     bool same = front->roles.size() == n;
     for (std::size_t i = 0; same && i < n; ++i) {
       same = (front->roles[i] == MatchRole::kMatch) ==
              (roles[i] == MatchRole::kMatch);
     }
     if (same) {
-      staged_est = &front->est;
+      staged_est = &*front->est;
     } else {
       metrics::Registry::global()
           .counter(options_.metric_prefix +
@@ -895,15 +844,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
   auto rollback = [&] {
     graph_.restore(snap);
-    if (ctx != nullptr) {
-      // Only the half-built staged epoch goes. The previous active epoch is
-      // safe to keep across the retry (misses fall back to zero-copy, so a
-      // stale cache can never change counts) and is replaced by the retry's
-      // own publish before any match reads it.
-      cache_.discard_staged();
-    } else {
-      cache_.clear();
-    }
+    cache_.clear();
     if (options_.check_invariants) graph_.validate();
   };
 
@@ -914,8 +855,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   run_transaction(
       ladder, options_.kind, shared, parker_,
       [&](bool drop_cache) {
-        run_shared_attempt(use, drop_cache, roles, shared, staged_est,
-                           /*staged_pack=*/ctx != nullptr);
+        run_shared_attempt(use, drop_cache, roles, shared, staged_est);
       },
       rollback,
       [this] { return budget_.degrade(metrics_); });
@@ -960,7 +900,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
           // Pre-apply estimation: sees the graph one update earlier than
           // the serial schedule would (count-neutral; the rng draw order
           // per query is unchanged, one estimate per batch).
-          nf->est = compute_shared_estimate(nf->batch, roles);
+          nf->est = shared_cache_order(nf->batch, roles);
           metrics::Registry::global()
               .counter(options_.metric_prefix +
                        metric::kPipelineOverlapStagedEstimates)

@@ -182,10 +182,9 @@ class MultiQueryEngine {
   ServerBatchReport process_batch(const EdgeBatch& batch);
 
   // Pipelined batch loop (docs/MULTI_QUERY.md, "Pipelined schedule"): batch
-  // t+1's CPU-side front half — corruption screening, WAL batch append, and
-  // the frequency estimation — is staged on the match pool while batch t's
-  // fan-out is in flight, the DCSR pack goes through the cache's staged
-  // epoch (published only when the previous epoch retires), and commit
+  // t+1's CPU-side front half — corruption screening and the frequency
+  // estimation — is staged on the match pool while batch t's fan-out is in
+  // flight, the DCSR pack runs once that fan-out has returned, and commit
   // markers are made durable by the group-commit committer thread
   // (DurabilityOptions::group_commit_batches markers per fsync). Reports
   // are surfaced through `on_batch` — and sink callbacks are flushed — only
@@ -260,17 +259,6 @@ class MultiQueryEngine {
     bool ladder_exhausted = false;   // error after a full retryable ladder
   };
 
-  // A precomputed shared estimate (phase 2) for one batch — either built
-  // inline by run_shared_attempt or staged ahead of time by the pipelined
-  // schedule during the previous batch's fan-out.
-  struct StagedEstimate {
-    bool valid = false;
-    std::vector<VertexId> order;
-    std::uint64_t walks = 0;
-    double sim_estimate_s = 0.0;
-    double wall_estimate_ms = 0.0;
-  };
-
   // Per-batch pipelined-schedule context threaded through the batch body by
   // process_stream; null means the serial process_batch semantics. Defined
   // in the .cpp (holds the staged front and the deferred sink buffers).
@@ -300,23 +288,20 @@ class MultiQueryEngine {
   // Any quarantined query still owed an exact (non-overflowed) catch-up —
   // while true, snapshot compaction is deferred so the WAL keeps the debt.
   bool any_exact_catchup_debt() const;
-  // Phase 2 alone: the weight-combined per-query frequency estimation (or
-  // the baseline orderings) on the CURRENT graph. Pure reads plus per-query
-  // estimator/RNG state, so the pipelined schedule may run it on a pool
-  // thread while matches are in flight.
-  StagedEstimate compute_shared_estimate(const EdgeBatch& batch,
-                                         const std::vector<MatchRole>& roles);
+  // Phase 2 alone: the one cache step over the CURRENT graph, with the
+  // kMatch queries' weighted walks. Pure reads plus per-query estimator/RNG
+  // state, so the pipelined schedule may run it on a pool thread while
+  // matches are in flight.
+  CacheOrder shared_cache_order(const EdgeBatch& batch,
+                                const std::vector<MatchRole>& roles);
   // Phases 1-3 (one transactional attempt). `drop_cache` skips estimate +
   // pack: the terminal degradation of the shared ladder. Only queries whose
-  // role is kMatch contribute to (and pay for) the shared estimate. When
-  // `staged_est` is valid its order is used instead of re-estimating; with
-  // `staged_pack` the build goes through the cache's staged epoch and is
-  // published (then validated) before returning.
+  // role is kMatch contribute to (and pay for) the shared estimate. A
+  // non-null `staged` order is used instead of re-estimating.
   void run_shared_attempt(const EdgeBatch& batch, bool drop_cache,
                           const std::vector<MatchRole>& roles,
                           BatchReport& shared,
-                          const StagedEstimate* staged_est = nullptr,
-                          bool staged_pack = false);
+                          const CacheOrder* staged = nullptr);
   // One phase-4 attempt for one query (no retry logic). Probes the
   // match.query fault site keyed by the QueryId, then matches and enforces
   // breaker.match_deadline_ms post-hoc.
@@ -347,10 +332,9 @@ class MultiQueryEngine {
                              QueryCounters* delta, const MatchSink* sink);
 
   // The whole batch body shared by process_batch (ctx == nullptr) and
-  // process_stream (ctx set: staged ingestion/estimate consumed, pack via
-  // the staged cache epoch, transitions + commit routed through the group
-  // committer, sinks buffered, and the durable tail deferred to the
-  // stream's drain points).
+  // process_stream (ctx set: staged ingestion/estimate consumed,
+  // transitions + commit routed through the group committer, sinks
+  // buffered, and the durable tail deferred to the stream's drain points).
   ServerBatchReport process_batch_inner(const EdgeBatch& batch,
                                         PipelineCtx* ctx);
 

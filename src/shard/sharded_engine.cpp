@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/gpu_engine.hpp"
 #include "core/recovery.hpp"
 #include "gpusim/cost_model.hpp"
 #include "util/error.hpp"
@@ -11,6 +10,7 @@
 #include "util/metric_names.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace gcsm::shard {
 namespace {
@@ -38,10 +38,8 @@ ShardedMatchEngine::ShardedMatchEngine(const CsrGraph& initial,
     budgets_.emplace_back(slice, options_.recovery);
   }
   if (options_.kind == EngineKind::kUnifiedMemory) {
-    // Same setting as the single-device Pipeline: the UM resident set gets
-    // (each shard's share of) the cache budget, so UM genuinely pages.
-    options_.sim.um_page_cache_bytes =
-        std::min(options_.sim.um_page_cache_bytes, slice);
+    // Each shard's UM resident set gets that shard's share of the budget.
+    options_.sim = clamp_um_resident_set(options_.sim, slice);
   }
   if (options_.durability.enabled()) {
     // Initializes WAL sequencing (and truncates any torn tail). The engine
@@ -97,61 +95,29 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
     out.shared.wall_update_ms = t.millis();
   }
 
-  // Step 2: per-shard cache order, filtered to OWNED vertices — the router
-  // only ever sends a shard fetches of vertices it owns, so caching
-  // replicated neighbors would waste the budget slice.
-  std::vector<std::vector<VertexId>> orders(shards);
+  // Step 2: the one cache step per shard, over the vertices it owns.
+  std::vector<CacheOrder> orders(shards);
   if (uses_cache(kind)) {
-    int max_diameter = 0;
+    std::uint32_t hops = 0;
     for (const auto& qs : states_) {
-      max_diameter = std::max(
-          max_diameter, static_cast<int>(qs->matcher->query().diameter()));
+      hops = std::max(hops, qs->matcher->query().diameter());
     }
     const Timer t;
     for (std::size_t s = 0; s < shards; ++s) {
-      BatchReport& sr = out.shards[s];
-      const DynamicGraph& g = sg_.graph(s);
-      const Timer ts;
-      if (kind == EngineKind::kGcsm) {
-        std::vector<double> combined;
-        std::uint64_t walks = 0;
-        std::uint64_t ops = 0;
-        if (!subs[s].updates.empty()) {
-          for (const auto& qs : states_) {
-            const EstimateResult est =
-                qs->estimator->estimate(g, subs[s], qs->rng);
-            if (est.frequency.size() > combined.size()) {
-              combined.resize(est.frequency.size(), 0.0);
-            }
-            for (std::size_t i = 0; i < est.frequency.size(); ++i) {
-              combined[i] += est.frequency[i];
-            }
-            walks += est.walks;
-            ops += est.ops;
-            shard_metrics_[s].note_estimate(est);
-          }
-        }
-        orders[s] = select_by_frequency(combined);
-        sr.walks = walks;
-        sr.sim_estimate_s =
-            static_cast<double>(ops) /
-            (sim.host_ops_per_sec_per_thread * sim.host_threads);
-      } else if (kind == EngineKind::kNaiveDegree) {
-        orders[s] = select_by_degree(g);
-        sr.sim_estimate_s =
-            static_cast<double>(g.num_vertices()) /
-            (sim.host_ops_per_sec_per_thread * sim.host_threads);
-      } else {  // kVsgm
-        orders[s] = khop_vertices(g, subs[s], max_diameter);
+      std::vector<WalkContributor> walkers;
+      for (const auto& qs : states_) {
+        walkers.push_back(
+            {qs->estimator.get(), &qs->rng, 1.0, &shard_metrics_[s]});
       }
-      std::erase_if(orders[s], [&](VertexId v) {
-        return sg_.owner(v) != static_cast<std::uint32_t>(s);
-      });
-      if (kind == EngineKind::kVsgm) {
-        sr.sim_estimate_s = static_cast<double>(total_list_bytes(g, orders[s])) /
-                            (sim.host_mem_bandwidth_gbps * 1e9);
-      }
-      sr.wall_estimate_ms = ts.millis();
+      const ShardScope scope{
+          [this, s](VertexId v) { return sg_.owner(v) == s; },
+          [this](VertexId v) -> const DynamicGraph& {
+            return sg_.graph(sg_.owner(v));
+          },
+          &clean};
+      orders[s] = phase_estimate(kind, sg_.graph(s), subs[s], walkers, hops,
+                                 1.0, &scope, sim, shard_metrics_[s]);
+      orders[s].report_into(out.shards[s]);
     }
     out.shared.wall_estimate_ms = t.millis();
   }
@@ -162,7 +128,7 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
     const Timer t;
     for (std::size_t s = 0; s < shards; ++s) {
       oom_shard = s;
-      phase_pack(kind, sg_.cache(s), sg_.graph(s), orders[s],
+      phase_pack(kind, sg_.cache(s), sg_.graph(s), orders[s].order,
                  budgets_[s].effective(), budgets_[s].configured(),
                  sg_.device(s), sg_.device(s).counters(),
                  options_.check_invariants, sim, shard_metrics_[s],
@@ -174,6 +140,7 @@ void ShardedMatchEngine::run_attempt(const EdgeBatch& clean,
   // Step 4: routed match per query (the ShardedMatcher fans shard tasks out
   // on the pool and stitches cross-shard partials in supersteps).
   {
+    const trace::Span span(metrics_.span_match());
     const Timer t;
     std::vector<gpusim::Traffic> match_traffic(shards);
     for (const auto& qsp : states_) {
@@ -243,6 +210,7 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
   if (states_.empty()) {
     throw Error(ErrorCode::kConfig, "no query registered");
   }
+  const trace::Span batch_span(metrics_.span_batch());
   const std::size_t shards = sg_.num_shards();
   ShardedBatchReport out;
   const std::uint64_t faults_before =

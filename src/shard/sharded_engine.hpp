@@ -8,10 +8,11 @@
 //
 //   1. update   — the sanitized batch splits by endpoint ownership; each
 //                 shard applies its sub-batch (cut records to both owners)
-//   2. estimate — per-shard cache order: the per-query walk estimates run
-//                 against each shard's graph and sub-batch, combined and
-//                 filtered to OWNED vertices (a shard's cache only ever
-//                 serves fetches the router sends to it)
+//   2. estimate — the one cache step (core/phases.hpp) per shard, over the
+//                 vertices it owns (the router sends it fetches of no
+//                 others): GCSM's walks run on the shard's graph and
+//                 sub-batch; VSGM caches the owned part of the global k-hop
+//                 set
 //   3. pack     — per-shard DCSR build under budget/N, each shard owning
 //                 its own OOM degradation ladder (halve on OOM, heal on
 //                 clean streaks) — one hot shard degrades alone

@@ -458,6 +458,39 @@ TEST(PipelineFaults, OomAtBudgetFloorFallsBackToCpu) {
   pipe.graph().validate();
 }
 
+// The floor bounds degradation only: a budget configured below it is used
+// as configured, never raised to the floor.
+TEST(PipelineFaults, SubFloorBudgetIsUsedAsConfigured) {
+  const StreamFixture f(71, 3000, 128, 1024);
+  constexpr std::uint64_t kBudget = 24 << 10;
+  PipelineOptions popt = fault_options(EngineKind::kNaiveDegree);
+  popt.cache_budget_bytes = kBudget;
+  Pipeline pipe(f.stream.initial, make_fig1_diamond(), popt);
+  EXPECT_EQ(pipe.effective_cache_budget(), kBudget);
+
+  server::MultiQueryOptions mopt;
+  mopt.workers = 2;
+  mopt.cache_budget_bytes = kBudget;
+  mopt.estimator.num_walks = 2048;
+  mopt.recovery.backoff_initial_ms = 0.0;
+  server::MultiQueryEngine engine(f.stream.initial, mopt);
+  engine.register_query(make_triangle());
+  engine.register_query(make_fig1_diamond());
+  engine.register_query(make_path(3));
+  EXPECT_EQ(engine.effective_cache_budget(), kBudget);
+
+  for (std::size_t k = 0; k < 3; ++k) {
+    const BatchReport r = pipe.process_batch(f.stream.batches[k]);
+    EXPECT_EQ(r.effective_cache_budget, kBudget) << "batch " << k;
+    EXPECT_GT(r.cache_bytes, 0u) << "batch " << k;
+    EXPECT_LE(r.cache_bytes, kBudget) << "batch " << k;
+    const BatchReport shared =
+        engine.process_batch(f.stream.batches[k]).shared;
+    EXPECT_EQ(shared.effective_cache_budget, kBudget) << "batch " << k;
+    EXPECT_LE(shared.cache_bytes, kBudget) << "batch " << k;
+  }
+}
+
 TEST(PipelineFaults, ExhaustedRetriesRethrowWithGraphRolledBack) {
   StreamFixture f(51);
   const QueryGraph q = make_triangle();

@@ -98,6 +98,20 @@ TEST(Lint, FlagsLadderCopy) {
   }
 }
 
+TEST(Lint, FlagsCacheOrderCopy) {
+  // The fixture chooses cache orders in the one cache step (allowed) and
+  // twice in a private copy in shard/ (flagged: a selection strategy and a
+  // member estimate() call). A free function named estimate is not a call
+  // of the estimator and passes.
+  const auto diags = lint_fixture("cache_order_copy");
+  ASSERT_EQ(diags.size(), 2u) << render(diags);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "cache-order-copy");
+    EXPECT_EQ(d.file, "src/shard/bad.cpp");
+    EXPECT_NE(d.message.find("phase_estimate"), std::string::npos);
+  }
+}
+
 TEST(Lint, FlagsNakedLock) {
   const auto diags = lint_fixture("naked_lock");
   ASSERT_EQ(diags.size(), 2u) << render(diags);  // lock() and unlock()

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "util/durable_io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/trace.hpp"
 
 namespace gcsm {
 namespace {
@@ -335,6 +337,66 @@ TEST(Shard, StitchAccountingAndStaticRecount) {
   }
   EXPECT_EQ(engine.count_current_embeddings(id),
             ref.count_current_embeddings(ref_id));
+}
+
+// ---------------------------------------------------------------------------
+// The per-shard cache step.
+
+// VSGM never misses on a single device, and must not on any shard count:
+// each shard caches its owned part of the k-hop set one device would cache.
+// Searching on a shard's own graph from its own sub-batch is not enough. A
+// vertex owned by another shard holds only its cut edges there, so a vertex
+// near an update only through other shards' vertices is never reached.
+TEST(Shard, VsgmNeverMissesOnAnyShardCount) {
+  Rng rng(61);
+  const CsrGraph base = generate_barabasi_albert(20000, 2, 2, rng);
+  UpdateStreamOptions sopt;
+  sopt.pool_edge_count = 128;
+  sopt.batch_size = 8;
+  sopt.seed = 62;
+  const UpdateStream stream = make_update_stream(base, sopt);
+  for (const std::size_t shards : kShardCounts) {
+    for (const PartitionStrategy strategy : kStrategies) {
+      ShardedMatchEngine engine(
+          stream.initial,
+          sharded_options(EngineKind::kVsgm, shards, strategy));
+      engine.register_query(make_path(4));
+      engine.register_query(make_cycle(5));
+      engine.register_query(make_fig1_diamond());
+      for (std::size_t k = 0; k < stream.num_batches(); ++k) {
+        const ShardedBatchReport r = engine.process_batch(stream.batches[k]);
+        EXPECT_GT(r.shared.traffic.cache_hits, 0u);
+        EXPECT_EQ(r.shared.traffic.cache_misses, 0u)
+            << "shards=" << shards << " "
+            << partition_strategy_name(strategy) << " batch " << k;
+      }
+    }
+  }
+}
+
+// The trace attributes a sharded batch like a single-device one: a batch
+// and a match span in the engine's scope, and each shard's estimate under
+// its own scope.
+TEST(Shard, TraceHasBatchMatchAndPerShardEstimateSpans) {
+  const StreamFixture f(38);
+  ShardedMatchEngine engine(
+      f.stream.initial,
+      sharded_options(EngineKind::kGcsm, 4, PartitionStrategy::kHash));
+  for (const QueryGraph& q : two_patterns()) engine.register_query(q);
+
+  trace::TraceCollector collector;
+  trace::set_collector(&collector);
+  engine.process_batch(f.stream.batches[0]);
+  trace::set_collector(nullptr);
+
+  std::map<std::string, int> spans;
+  for (const trace::TraceEvent& e : collector.events()) ++spans[e.name];
+  EXPECT_EQ(spans["pipeline.batch"], 1);
+  EXPECT_EQ(spans["pipeline.match"], 1);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(spans["shard" + std::to_string(s) + ".pipeline.estimate"], 1)
+        << "shard " << s;
+  }
 }
 
 // ---------------------------------------------------------------------------

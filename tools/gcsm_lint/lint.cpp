@@ -53,6 +53,24 @@ const std::set<std::string> kLadderKnobs = {
     "min_cache_budget_bytes",
 };
 
+// Files allowed to choose a cache order: the one cache step
+// (core/phases.*) and the selection strategies and estimator it calls.
+// Every engine reaches step 2 through phase_estimate once per device, so a
+// change to how the cache order is chosen lands once (DESIGN.md §6).
+const std::set<std::string> kCacheOrderFiles = {
+    "src/core/phases.hpp",
+    "src/core/phases.cpp",
+    "src/core/gpu_engine.hpp",
+    "src/core/gpu_engine.cpp",
+    "src/core/frequency_estimator.hpp",
+    "src/core/frequency_estimator.cpp",
+};
+const std::set<std::string> kCacheOrderCalls = {
+    "select_by_frequency",
+    "select_by_degree",
+    "khop_vertices",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -350,6 +368,28 @@ void check_ladder_copies(const FileContext& ctx) {
   }
 }
 
+void check_cache_order_copies(const FileContext& ctx) {
+  if (kCacheOrderFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    const Token& name = toks[i];
+    if (name.kind != TokKind::kIdent || toks[i + 1].kind != TokKind::kPunct ||
+        toks[i + 1].text != "(") {
+      continue;
+    }
+    const bool member = i > 0 && toks[i - 1].kind == TokKind::kPunct &&
+                        (toks[i - 1].text == "." || toks[i - 1].text == "->");
+    if (kCacheOrderCalls.count(name.text) != 0 ||
+        (member && name.text == "estimate")) {
+      emit(ctx, name.line, "cache-order-copy",
+           name.text +
+               " call outside the cache step; choose cache orders through "
+               "phase_estimate (core/phases.hpp) so every engine keeps "
+               "running the one step 2");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -435,6 +475,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_relaxed_atomics(ctx);
     check_kernel_copies(ctx);
     check_ladder_copies(ctx);
+    check_cache_order_copies(ctx);
     check_naked_locks(ctx);
   }
 

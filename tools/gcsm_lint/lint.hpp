@@ -30,6 +30,11 @@
 //                        (max_attempts, backoff_*, min_cache_budget_bytes,
 //                        ...) outside the recovery ladder (core/recovery.*):
 //                        a second retry or budget ladder.
+//   cache-order-copy     a call to select_by_frequency, select_by_degree
+//                        or khop_vertices, or a member call to estimate(),
+//                        outside the one cache step (core/phases.*) and
+//                        what it calls (core/gpu_engine.*,
+//                        core/frequency_estimator.*): a second step 2.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
