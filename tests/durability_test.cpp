@@ -9,10 +9,14 @@
 // destroyed with no cleanup and a fresh one recovers from disk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -21,6 +25,7 @@
 #include "graph/update_stream.hpp"
 #include "query/patterns.hpp"
 #include "server/multi_query_engine.hpp"
+#include "shard/sharded_engine.hpp"
 #include "util/durable_io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -685,6 +690,147 @@ TEST(Durability, RecoverOnStartOffDiscardsStaleState) {
   Pipeline p(fx.stream.initial, query, durable_options(dir));
   EXPECT_EQ(p.cumulative().batches_committed, 1U);
   expect_counts(p.cumulative(), baseline_counters(fx, query, 1));
+}
+
+// ---------------------------------------------------------------------------
+// The WAL every engine writes, pinned record by record: engine label, record
+// type, seq, payload size and the payload's CRC32C, in
+// tests/golden/wal_records.txt. A change to the commit path must leave the
+// file byte-identical. fsync is off and snapshot_interval is 0, so nothing is
+// compacted away. On a mismatch the produced pins are written to the test
+// temp directory, so a deliberate change can be reviewed and copied over.
+
+// 6 batches of 64 updates over a 300-vertex BA graph with 2 labels.
+constexpr std::size_t kPinBatches = 6;
+
+DurabilityOptions pin_durability(const std::string& dir) {
+  DurabilityOptions d;
+  d.wal_dir = dir;
+  d.snapshot_interval = 0;
+  d.recover_on_start = false;
+  d.fsync = false;
+  return d;
+}
+
+// One line per record of <dir>/gcsm.wal, in log order or, for the group
+// commit schedule, by (seq, type): there the committer appends markers while
+// the engine thread appends batch records, so their interleaving depends on
+// thread timing.
+std::string wal_pins(const std::string& label, const std::string& dir,
+                     bool by_seq) {
+  std::vector<wal::Record> records = wal::read_all(dir + "/gcsm.wal").records;
+  if (by_seq) {
+    std::stable_sort(records.begin(), records.end(),
+                     [](const wal::Record& a, const wal::Record& b) {
+                       return std::tie(a.seq, a.type) < std::tie(b.seq, b.type);
+                     });
+  }
+  std::string out;
+  for (const wal::Record& rec : records) {
+    char line[128];
+    std::snprintf(line, sizeof line, " type=%d seq=%llu bytes=%zu crc=%08x\n",
+                  static_cast<int>(rec.type),
+                  static_cast<unsigned long long>(rec.seq), rec.payload.size(),
+                  static_cast<unsigned>(io::crc32c(rec.payload)));
+    out += label + line;
+  }
+  return out;
+}
+
+server::MultiQueryOptions pin_multi_options(const std::string& dir) {
+  server::MultiQueryOptions opt;
+  opt.kind = EngineKind::kGcsm;
+  opt.workers = 2;
+  opt.cache_budget_bytes = 4 << 20;
+  opt.estimator.num_walks = 256;
+  opt.recovery.backoff_initial_ms = 0.0;
+  opt.durability = pin_durability(dir);
+  opt.match_parallelism = 1;
+  return opt;
+}
+
+TEST(Durability, EveryEngineWritesThePinnedWalRecords) {
+  StreamFixture fx(61, 300, 64, 384);
+  ASSERT_EQ(fx.stream.batches.size(), kPinBatches);
+  std::string pins;
+
+  {
+    const std::string dir = fresh_dir("pin_pipeline");
+    PipelineOptions opt = durable_options(dir, nullptr, EngineKind::kGcsm);
+    opt.durability = pin_durability(dir);
+    Pipeline p(fx.stream.initial, make_triangle(), opt);
+    for (const EdgeBatch& b : fx.stream.batches) p.process_batch(b);
+    pins += wal_pins("pipeline", dir, false);
+  }
+  {
+    const std::string dir = fresh_dir("pin_sharded");
+    shard::ShardedEngineOptions opt;
+    opt.num_shards = 4;
+    opt.partition = shard::PartitionStrategy::kHash;
+    opt.cache_budget_bytes = 4 << 20;
+    opt.estimator.num_walks = 256;
+    opt.recovery.backoff_initial_ms = 0.0;
+    opt.durability = pin_durability(dir);
+    shard::ShardedMatchEngine engine(fx.stream.initial, opt);
+    engine.register_query(make_triangle());
+    engine.register_query(make_path(4));
+    for (const EdgeBatch& b : fx.stream.batches) engine.process_batch(b);
+    pins += wal_pins("sharded", dir, false);
+  }
+  {
+    // Batch 1 trips path(4) (one kServerState record), a shed consumes the
+    // seq after batch 2 (one kShed record), and batch 3's probe re-joins the
+    // query through exact catch-up across that shed (a second kServerState).
+    const std::string dir = fresh_dir("pin_mqe_batch");
+    FaultInjector inj(61);
+    server::MultiQueryOptions opt = pin_multi_options(dir);
+    opt.breaker.trip_after_failures = 1;
+    opt.breaker.cooldown_batches = 1;
+    opt.fault_injector = &inj;
+    server::MultiQueryEngine engine(fx.stream.initial, opt);
+    engine.register_query(make_triangle());
+    const server::QueryId path = engine.register_query(make_path(4));
+    for (std::size_t k = 0; k < kPinBatches; ++k) {
+      if (k == 1) {
+        FaultSpec poison;
+        poison.probability = 1.0;
+        poison.match_query_id = path;
+        inj.arm(fault_site::kMatchQuery, poison);
+      }
+      const server::ServerBatchReport r =
+          engine.process_batch(fx.stream.batches[k]);
+      if (k == 1) {
+        inj.disarm(fault_site::kMatchQuery);
+        EXPECT_TRUE(r.queries[1].tripped);
+      }
+      if (k == 2) engine.log_shed_batch("shed-after-batch-2");
+      if (k == 3) {
+        EXPECT_TRUE(r.queries[1].rejoined);
+      }
+    }
+    pins += wal_pins("mqe-batch", dir, false);
+  }
+  {
+    const std::string dir = fresh_dir("pin_mqe_stream");
+    server::MultiQueryOptions opt = pin_multi_options(dir);
+    opt.durability.group_commit_batches = 4;
+    server::MultiQueryEngine engine(fx.stream.initial, opt);
+    engine.register_query(make_triangle());
+    engine.register_query(make_path(4));
+    engine.process_stream(fx.stream.batches);
+    pins += wal_pins("mqe-stream", dir, true);
+  }
+
+  const std::string path = std::string(GCSM_TEST_GOLDEN_DIR) + "/wal_records.txt";
+  std::ifstream in(path);
+  std::ostringstream want;
+  want << in.rdbuf();
+  if (pins == want.str()) return;
+  const std::string actual = ::testing::TempDir() + "wal_records.txt";
+  std::ofstream(actual) << pins;
+  ADD_FAILURE() << "WAL pins differ from " << path
+                << "; the produced pins are in " << actual << "\n"
+                << pins;
 }
 
 }  // namespace
