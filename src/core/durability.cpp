@@ -154,19 +154,11 @@ RecoveredState DurabilityManager::recover() {
   return state;
 }
 
-void DurabilityManager::append_and_sync(wal::RecordType type,
-                                        std::uint64_t seq,
-                                        const std::string& payload) {
-  ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
-  bool written = false;
-  for (;;) {
+void DurabilityManager::retry_write(
+    const std::function<void()>& write) const {
+  for (int attempts = std::max(1, options_.max_write_attempts);;) {
     try {
-      // append throws BEFORE any byte reaches the file, so re-appending on
-      // retry is safe; a failed fsync retry must NOT re-append.
-      if (!written) writer_->append(type, seq, payload);
-      written = true;
-      writer_->sync();
+      write();
       return;
     } catch (const CrashError&) {
       throw;
@@ -176,38 +168,31 @@ void DurabilityManager::append_and_sync(wal::RecordType type,
   }
 }
 
-void DurabilityManager::append_with_retry(wal::RecordType type,
-                                          std::uint64_t seq,
-                                          const std::string& payload) {
+std::uint64_t DurabilityManager::log_record(wal::RecordType type,
+                                            const std::string& payload) {
+  const std::uint64_t seq = next_seq_++;
   ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
-      // append throws BEFORE any byte reaches the file, so re-appending on
-      // a transient refusal is safe.
-      writer_->append(type, seq, payload);
-      return;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (!e.transient() || --attempts <= 0) throw;
-    }
-  }
+  retry_write([&] { writer_->append(type, seq, payload); });
+  retry_write([&] { writer_->sync(); });
+  return seq;
 }
 
-void DurabilityManager::sync_with_retry() {
+void DurabilityManager::write_commits(std::span<const CommitUnit> units) {
   ensure_writer();
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
-      writer_->sync();
-      return;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (!e.transient() || --attempts <= 0) throw;
+  // Serial record order per batch: its server-state transitions land before
+  // its commit marker. One fsync covers every unit — for the committer,
+  // that is the entire point of coalescing.
+  for (const CommitUnit& unit : units) {
+    for (const std::string& payload : unit.server_states) {
+      retry_write([&] {
+        writer_->append(wal::RecordType::kServerState, unit.seq, payload);
+      });
     }
+    const std::string marker = durable::encode_counters(unit.counters);
+    retry_write(
+        [&] { writer_->append(wal::RecordType::kCommit, unit.seq, marker); });
   }
+  retry_write([&] { writer_->sync(); });
 }
 
 void DurabilityManager::committer_loop() {
@@ -233,17 +218,7 @@ void DurabilityManager::committer_loop() {
       }
     }
     try {
-      // Serial record order is preserved per batch: the batch's server-state
-      // transitions land before its commit marker. One fsync covers the
-      // whole group — that is the entire point of coalescing.
-      for (const CommitUnit& unit : group) {
-        for (const std::string& payload : unit.server_states) {
-          append_with_retry(wal::RecordType::kServerState, unit.seq, payload);
-        }
-        append_with_retry(wal::RecordType::kCommit, unit.seq,
-                          durable::encode_counters(unit.counters));
-      }
-      sync_with_retry();
+      write_commits(group);
     } catch (...) {
       // Sticky failure: everything at or beyond the first non-durable seq is
       // crash-equivalent. Waiters rethrow; the thread exits.
@@ -307,36 +282,51 @@ void DurabilityManager::drain() {
 }
 
 std::uint64_t DurabilityManager::begin_batch(const EdgeBatch& batch) {
-  const std::uint64_t seq = next_seq_++;
-  append_and_sync(wal::RecordType::kBatch, seq, durable::encode_batch(batch));
-  return seq;
+  return log_record(wal::RecordType::kBatch, durable::encode_batch(batch));
 }
 
-void DurabilityManager::commit_batch(std::uint64_t seq,
-                                     const durable::DurableCounters& counters) {
-  append_and_sync(wal::RecordType::kCommit, seq,
-                  durable::encode_counters(counters));
+void DurabilityManager::commit_batch(const CommitUnit& unit) {
+  write_commits({&unit, 1});
   ++commits_since_snapshot_;
 }
 
 std::uint64_t DurabilityManager::log_shed(const std::string& payload) {
-  const std::uint64_t seq = next_seq_++;
-  append_and_sync(wal::RecordType::kShed, seq, payload);
-  return seq;
+  return log_record(wal::RecordType::kShed, payload);
 }
 
-void DurabilityManager::log_server_state(std::uint64_t seq,
-                                         const std::string& payload) {
-  append_and_sync(wal::RecordType::kServerState, seq, payload);
+std::optional<std::vector<std::pair<std::uint64_t, EdgeBatch>>>
+DurabilityManager::committed_batches(std::uint64_t after,
+                                     std::uint64_t upto) const {
+  const wal::ReadResult log = wal::read_all(wal_path_);
+  std::unordered_map<std::uint64_t, const std::string*> batches;
+  std::unordered_set<std::uint64_t> committed;
+  std::unordered_set<std::uint64_t> shed;
+  for (const wal::Record& rec : log.records) {
+    if (rec.type == wal::RecordType::kBatch) {
+      batches[rec.seq] = &rec.payload;
+    } else if (rec.type == wal::RecordType::kCommit) {
+      committed.insert(rec.seq);
+    } else if (rec.type == wal::RecordType::kShed) {
+      shed.insert(rec.seq);
+    }
+  }
+  std::vector<std::pair<std::uint64_t, EdgeBatch>> out;
+  for (std::uint64_t seq = after + 1; seq <= upto; ++seq) {
+    // A shed seq is an explained gap in the committed stream (the admission
+    // layer dropped that batch for every query): nothing to replay.
+    if (shed.count(seq) != 0) continue;
+    const auto it = batches.find(seq);
+    if (it == batches.end() || committed.count(seq) == 0) return std::nullopt;
+    auto batch = durable::decode_batch(*it->second);
+    if (!batch.has_value()) return std::nullopt;
+    out.emplace_back(seq, std::move(*batch));
+  }
+  return out;
 }
 
 bool DurabilityManager::maybe_snapshot(
     const DynamicGraph& graph, const durable::DurableCounters& counters) {
-  if (options_.snapshot_interval == 0 ||
-      commits_since_snapshot_ < options_.snapshot_interval) {
-    return false;
-  }
-  return snapshot_now(graph, counters);
+  return snapshot_due() && snapshot_now(graph, counters);
 }
 
 bool DurabilityManager::snapshot_now(
@@ -345,22 +335,19 @@ bool DurabilityManager::snapshot_now(
       metrics::Registry::global().counter(metric::kSnapshotFailures);
   static auto& m_compactions =
       metrics::Registry::global().counter(metric::kWalCompactions);
-  int attempts = std::max(1, options_.max_write_attempts);
-  for (;;) {
-    try {
+  try {
+    retry_write([&] {
       durable::write_snapshot_file(snapshot_path_, graph.snapshot_full(),
                                    counters, options_.fsync, faults_);
-      break;
-    } catch (const CrashError&) {
-      throw;
-    } catch (const Error& e) {
-      if (e.transient() && --attempts > 0) continue;
-      // A failed snapshot never loses data: the WAL still covers every
-      // committed batch. Skip this interval and try again at the next one.
-      warn(nullptr, std::string("snapshot skipped: ") + e.what());
-      m_failures.add();
-      return false;
-    }
+    });
+  } catch (const CrashError&) {
+    throw;
+  } catch (const Error& e) {
+    // A failed snapshot never loses data: the WAL still covers every
+    // committed batch. Skip this interval and try again at the next one.
+    warn(nullptr, std::string("snapshot skipped: ") + e.what());
+    m_failures.add();
+    return false;
   }
   commits_since_snapshot_ = 0;
   try {

@@ -4,13 +4,20 @@
 // Commit protocol, per batch (batch-granular exactly-once):
 //   1. begin_batch  — the sanitized batch is appended to the WAL as a
 //      kBatch record and fsynced BEFORE the graph is touched;
-//   2. the pipeline applies and matches the batch (its own transactional
+//   2. the engine applies and matches the batch (its own transactional
 //      rollback handles in-flight failures);
-//   3. commit_batch — a kCommit marker carrying the cumulative durable
-//      counters is appended and fsynced AFTER the report is produced;
+//   3. the batch's commit unit — its server-state transitions, then a
+//      kCommit marker carrying the cumulative durable counters — is appended
+//      and fsynced once AFTER the report is produced, synchronously
+//      (commit_batch) or by the group committer (enqueue_commit); both write
+//      through one routine, and commit_transaction (core/recovery.hpp) is
+//      the one caller;
 //   4. maybe_snapshot — every snapshot_interval commits, a full graph
 //      snapshot is written atomically and the WAL prefix is compacted
 //      (truncated to zero: every logged record is now covered).
+// Every WAL append, fsync and snapshot write goes through one bounded retry
+// for transient faults (max_write_attempts each); a CrashError always
+// escapes. Only this module and util/wal know the WAL record types.
 //
 // Recovery (recover()): load the latest valid snapshot, truncate any torn
 // or corrupt WAL tail (warning, not a crash), then hand back the COMMITTED
@@ -25,8 +32,11 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,9 +60,10 @@ struct DurabilityOptions {
   // fsync on commit boundaries. Off skips the syscall (tests) but keeps the
   // protocol and fault sites identical.
   bool fsync = true;
-  // Bounded internal retries for transient WAL/snapshot write faults.
+  // Bounded internal retries for transient WAL/snapshot write faults, per
+  // append, per fsync and per snapshot write.
   int max_write_attempts = 3;
-  // Group commit (pipelined schedule only): commit markers handed to
+  // Group commit (pipelined schedule only): commit units handed to
   // enqueue_commit are fsynced by a dedicated committer thread that
   // coalesces up to this many batches per fsync. The synchronous
   // commit_batch path ignores it. 1 = one fsync per commit (no coalescing,
@@ -62,10 +73,9 @@ struct DurabilityOptions {
   bool enabled() const { return !wal_dir.empty(); }
 };
 
-// One batch's durable-commit work, handed to the group-commit committer
-// thread: any server-state transition payloads for this batch (appended
-// BEFORE the marker, preserving the serial record order) plus the commit
-// marker's counters.
+// One batch's step-3 work: its server-state transition payloads (appended
+// BEFORE the marker at the batch's seq, so the marker never lands without
+// them) plus the commit marker's counters, made durable by one fsync.
 struct CommitUnit {
   std::uint64_t seq = 0;
   durable::DurableCounters counters;
@@ -117,7 +127,6 @@ class DurabilityManager {
   DurabilityManager& operator=(const DurabilityManager&) = delete;
 
   const DurabilityOptions& options() const { return options_; }
-  const std::string& wal_path() const { return wal_path_; }
   const std::string& snapshot_path() const { return snapshot_path_; }
 
   // Reads the snapshot and the WAL, repairs a damaged tail, and returns the
@@ -130,29 +139,26 @@ class DurabilityManager {
   // to max_write_attempts; CrashError always escapes.
   std::uint64_t begin_batch(const EdgeBatch& batch);
 
-  // Step 3: durably logs the commit marker for `seq`.
-  void commit_batch(std::uint64_t seq,
-                    const durable::DurableCounters& counters);
+  // Step 3, synchronously: appends the unit's server-state records, then its
+  // commit marker, and fsyncs once. Same retry contract as begin_batch.
+  void commit_batch(const CommitUnit& unit);
 
-  // Group commit (docs/ROBUSTNESS.md, "Group commit"): hands one batch's
-  // commit work to the committer thread and returns immediately. The
-  // committer appends the unit's server-state records, then its commit
-  // marker, coalescing up to group_commit_batches units per fsync. The
-  // batch is durable — and its report may be surfaced — only once
-  // durable_seq() reaches its seq. A committer failure is sticky: it is
-  // rethrown (CrashError included) from the next wait_durable()/drain().
-  // The committer thread starts lazily on the first enqueue.
+  // Step 3 through group commit (docs/ROBUSTNESS.md, "Group commit"): hands
+  // the unit to the committer thread and returns immediately. The committer
+  // writes each group of up to group_commit_batches units exactly as
+  // commit_batch writes one, with one fsync per group. The batch is
+  // durable — and its report may be surfaced — only once durable_seq()
+  // reaches its seq. A committer failure is sticky: it is rethrown
+  // (CrashError included) from the next enqueue_commit()/drain(). The
+  // committer thread starts lazily on the first enqueue.
   void enqueue_commit(CommitUnit unit);
 
   // Highest seq whose commit marker has durably landed via the committer.
   std::uint64_t durable_seq() const;
 
-  // Blocks until durable_seq() >= seq or the committer failed (rethrows).
-  void wait_durable(std::uint64_t seq);
-
   // Blocks until every enqueued unit is durable; rethrows a committer
-  // failure. MUST be called before snapshot_now/maybe_snapshot or any
-  // direct read of the WAL file while group commit is in flight: compaction
+  // failure. MUST be called before snapshot_now/maybe_snapshot or
+  // committed_batches while group commit is in flight: compaction
   // truncates the whole log, which is only sound once every queued marker
   // has landed. No-op when the committer was never started.
   void drain();
@@ -166,15 +172,22 @@ class DurabilityManager {
   // Same retry contract as begin_batch.
   std::uint64_t log_shed(const std::string& payload);
 
-  // Durably logs a kServerState record (multi-query health transition)
-  // under `seq` — the wal_seq of the batch the transition belongs to.
-  // Appended BEFORE that batch's commit marker so recovery sees the
-  // transition when (and only when) it was made durable. Same retry
-  // contract as begin_batch.
-  void log_server_state(std::uint64_t seq, const std::string& payload);
+  // Exact catch-up's view of the log: the committed batches with seq in
+  // (after, upto], ascending, skipping seqs the admission layer shed.
+  // nullopt when the WAL no longer covers that range: some seq in it is
+  // neither shed nor a committed batch that decodes.
+  std::optional<std::vector<std::pair<std::uint64_t, EdgeBatch>>>
+  committed_batches(std::uint64_t after, std::uint64_t upto) const;
 
-  // Step 4: snapshot + compact when the interval has elapsed. A CrashError
-  // escapes (the process is "dead"); any other failure is swallowed with a
+  // snapshot_interval commits since the last snapshot, counting enqueued
+  // ones: callers on the group-commit schedule drain() before snapshotting.
+  bool snapshot_due() const {
+    return options_.snapshot_interval != 0 &&
+           commits_since_snapshot_ >= options_.snapshot_interval;
+  }
+
+  // Step 4: snapshot + compact when snapshot_due(). A CrashError escapes
+  // (the process is "dead"); any other failure is swallowed with a
   // warning — the WAL still covers everything, so correctness is intact.
   // Returns true when a snapshot was actually written (the caller may need
   // to refresh snapshot-relative baselines).
@@ -189,25 +202,20 @@ class DurabilityManager {
   bool snapshot_now(const DynamicGraph& graph,
                     const durable::DurableCounters& counters);
 
-  std::uint64_t next_seq() const { return next_seq_; }
-  // Commits since the last snapshot — lets the multi-query engine tell when
-  // a deferred maybe_snapshot would actually have fired (snapshot deferral
-  // while catch-up debt is outstanding; docs/ROBUSTNESS.md).
-  std::uint64_t commits_since_snapshot() const {
-    return commits_since_snapshot_;
-  }
-
  private:
   void ensure_writer();
-  // Append + fsync with bounded retries for transient faults. `written`
-  // tracking ensures a failed fsync retry does not duplicate the record.
-  void append_and_sync(wal::RecordType type, std::uint64_t seq,
-                       const std::string& payload);
-  // The two halves separately, for the committer's one-fsync-per-group
-  // schedule: bounded retries per step, CrashError always escapes.
-  void append_with_retry(wal::RecordType type, std::uint64_t seq,
-                         const std::string& payload);
-  void sync_with_retry();
+  // The one bounded retry of WAL and snapshot writes: re-runs `write` after
+  // a transient Error, up to max_write_attempts runs in all, then rethrows.
+  // A CrashError always escapes. A WAL append that throws has written
+  // nothing, so running it again cannot duplicate the record.
+  void retry_write(const std::function<void()>& write) const;
+  // Appends one record under the next sequence number and fsyncs it.
+  std::uint64_t log_record(wal::RecordType type, const std::string& payload);
+  // The one commit writer: each unit's server-state records, then its
+  // marker, then one fsync for all of them.
+  void write_commits(std::span<const CommitUnit> units);
+  // Blocks until durable_seq() >= seq or the committer failed (rethrows).
+  void wait_durable(std::uint64_t seq);
   void committer_loop();
 
   DurabilityOptions options_;

@@ -130,11 +130,6 @@ struct BatchReport {
   QuarantineReport quarantine;          // malformed records screened out
   std::uint64_t wal_seq = 0;            // WAL sequence (0 = not durably logged)
 
-  // Process-wide metrics after this batch (docs/OBSERVABILITY.md): the
-  // cumulative registry state, so deltas between consecutive reports
-  // attribute activity to one batch.
-  metrics::Snapshot metrics;
-
   double cache_hit_rate() const {
     const auto total = traffic.cache_hits + traffic.cache_misses;
     return total == 0 ? 0.0

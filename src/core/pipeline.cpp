@@ -152,25 +152,12 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
   // Commit (step 3): the cumulative totals including this batch go into the
   // commit marker; only after it is durable does the in-memory cumulative
   // state advance.
-  const durable::DurableCounters next =
-      advance_counters(cumulative_, report.stats, wal_seq);
-  if (wal_seq != 0) {
-    try {
-      durability_.commit_batch(wal_seq, next);
-    } catch (...) {
-      // The batch never became durable: roll the graph back so memory agrees
-      // with disk, and let the client re-submit. (Sink callbacks already made
-      // cannot be retracted — see docs/ROBUSTNESS.md.)
-      rollback();
-      throw;
-    }
-  }
-  cumulative_ = next;
+  commit_transaction(durability_, cumulative_, report.stats, wal_seq,
+                     rollback);
   metrics_.record_batch(report);
   // Snapshot + WAL compaction (step 4) runs after the commit, so a crash
   // inside it can only lose the snapshot, never the batch.
-  if (wal_seq != 0) durability_.maybe_snapshot(graph_, next);
-  report.metrics = metrics::Registry::global().snapshot();
+  if (wal_seq != 0) durability_.maybe_snapshot(graph_, cumulative_);
   return report;
 }
 

@@ -11,8 +11,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/gpu_engine.hpp"
@@ -22,7 +20,6 @@
 #include "util/fault.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
-#include "util/wal.hpp"
 
 namespace gcsm::server {
 namespace {
@@ -65,9 +62,6 @@ struct MultiQueryEngine::PipelineCtx {
   Front* next_front = nullptr;
   // Deferred sink buffers, one per registered query (registration order).
   std::vector<std::vector<SinkRecord>>* buffers = nullptr;
-  // Health-transition payloads collected for the commit unit instead of
-  // being logged inline (the committer appends them before the marker).
-  std::vector<std::string>* server_states = nullptr;
 };
 
 MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
@@ -642,7 +636,6 @@ void MultiQueryEngine::run_match_fanout(
         } else if (roles[task.index] == MatchRole::kMatch) {
           q.report.degradation_level = budget_.level();
           q.report.effective_cache_budget = budget_.effective();
-          qs.metrics->record_batch(q.report);
         }
       }
       cv.notify_all();
@@ -675,19 +668,8 @@ bool MultiQueryEngine::replay_missed_batches(QueryState& qs,
     shadow_seq = snap->counters.last_seq;
   }
 
-  wal::ReadResult log = wal::read_all(durability_.wal_path());
-  std::unordered_map<std::uint64_t, const std::string*> batches;
-  std::unordered_set<std::uint64_t> committed;
-  std::unordered_set<std::uint64_t> shed;
-  for (const wal::Record& rec : log.records) {
-    if (rec.type == wal::RecordType::kBatch) {
-      batches[rec.seq] = &rec.payload;
-    } else if (rec.type == wal::RecordType::kCommit) {
-      committed.insert(rec.seq);
-    } else if (rec.type == wal::RecordType::kShed) {
-      shed.insert(rec.seq);
-    }
-  }
+  const auto missed = durability_.committed_batches(shadow_seq, target);
+  if (!missed) return false;
 
   // (shadow_seq, position] rebuilds the graph the query last saw;
   // (position, target] is the debt proper: apply + match, with sink
@@ -696,20 +678,13 @@ bool MultiQueryEngine::replay_missed_batches(QueryState& qs,
   // before this batch commits repeats the catch-up).
   HostPolicy policy(shadow);
   gpusim::TrafficCounters scratch;
-  for (std::uint64_t seq = shadow_seq + 1; seq <= target; ++seq) {
-    // A shed seq is an explained gap in the committed stream (the admission
-    // layer dropped that batch for every query): nothing to apply or match.
-    if (shed.count(seq) != 0) continue;
-    const auto it = batches.find(seq);
-    if (it == batches.end() || committed.count(seq) == 0) return false;
-    auto batch = durable::decode_batch(*it->second);
-    if (!batch.has_value()) return false;
-    shadow.apply_batch(*batch);
+  for (const auto& [seq, batch] : *missed) {
+    shadow.apply_batch(batch);
     if (seq > health.last_applied_seq) {
       // Match against the pending-batch graph state — the same state the
       // live phase-4 matches in (reorg comes after the match).
       const MatchStats stats =
-          qs.engine->match_batch(shadow, *batch, policy, scratch, sink);
+          qs.engine->match_batch(shadow, batch, policy, scratch, sink);
       *delta += to_query_counters(stats);
       replayed.add();
     }
@@ -980,9 +955,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   QueryCounters total_missed;
   if (ctx != nullptr && !probe_passed_idx.empty() &&
       options_.durability.enabled()) {
-    // Catch-up replay reads the WAL file directly; every group-committed
-    // marker must land first or the debt window would look uncommitted. A
-    // committer failure is crash-equivalent and fails this batch.
+    // Catch-up replay reads the WAL; every group-committed marker must land
+    // first or the debt window would look uncommitted. A committer failure
+    // is crash-equivalent and fails this batch.
     try {
       durability_.drain();
     } catch (...) {
@@ -1026,7 +1001,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     phase_match(EngineKind::kCpu, *qs.engine, graph_, use, policy,
                 qcounters, rejoin_sink, options_.sim, *qs.metrics, q.report);
     q.report.traffic = qcounters.snapshot();
-    qs.metrics->record_batch(q.report);
   }
 
   // Phase 5: reorganize once.
@@ -1043,13 +1017,14 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   }
   for (const QueryReport& q : out.queries) shared.stats += q.report.stats;
 
-  // Health transitions ride the WAL BEFORE the commit marker, at the same
-  // seq as the batch they belong to — re-joins first, then trips, each
-  // carrying the full post-transition table (absolute, ascending ids) and
-  // the post-transition aggregate as of the PREVIOUS batch (a re-join's
-  // folds in the catch-up correction replay cannot recompute). Failure here
-  // fails the whole batch: the marker must never land without them.
+  // Health transitions ride the batch's commit unit, BEFORE its marker at
+  // the same seq — re-joins first, then trips, each carrying the full
+  // post-transition table (absolute, ascending ids) and the post-transition
+  // aggregate as of the PREVIOUS batch (a re-join's folds in the catch-up
+  // correction replay cannot recompute). The marker never lands without
+  // them: one fsync makes the unit durable, or the batch fails.
   std::uint64_t pending_revision = registry_.health_revision();
+  std::vector<std::string> transitions;
   if (wal_seq != 0 && (!rejoins.empty() || !tripped_idx.empty())) {
     std::map<QueryId, QueryHealth> working;
     for (const RegisteredQuery& e : registry_.entries()) {
@@ -1063,21 +1038,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
       t.query = id;
       t.aggregate = staged_aggregate;
       t.table.assign(working.begin(), working.end());
-      if (ctx != nullptr) {
-        // Group commit: the payload rides the commit unit; the committer
-        // appends it before the marker at the same seq, so the "marker
-        // never lands without its transitions" invariant holds at every
-        // crash point — a committer write failure simply means neither
-        // becomes durable.
-        ctx->server_states->push_back(encode_transition(t));
-        return;
-      }
-      try {
-        durability_.log_server_state(wal_seq, encode_transition(t));
-      } catch (...) {
-        rollback();
-        throw;
-      }
+      transitions.push_back(encode_transition(t));
     };
     for (const StagedRejoin& r : rejoins) {
       working[states_[r.index]->id] = r.health;
@@ -1098,39 +1059,16 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // Commit ONE marker carrying the aggregate counters across queries —
   // quarantined tenants contribute nothing, re-joining ones contribute
   // their batch delta plus the folded catch-up correction, so the
-  // aggregate stays the sum of what every query durably observed.
+  // aggregate stays the sum of what every query durably observed. The
+  // pipelined schedule hands the unit to the group committer and advances
+  // in-memory state at once — crash-safe because nothing is SURFACED
+  // (reports, sinks) until durable_seq() reaches this batch, so a crash
+  // before the marker lands re-exposes exactly what recovery replays.
   MatchStats committed = shared.stats;
   committed += MatchStats{total_missed.signed_embeddings,
                           total_missed.positive, total_missed.negative, 0};
-  const durable::DurableCounters next =
-      advance_counters(cumulative_, committed, wal_seq);
-  if (wal_seq != 0) {
-    if (ctx != nullptr) {
-      // Group commit: hand the marker (and this batch's transition
-      // payloads) to the committer thread. In-memory state advances
-      // immediately — crash-safe because nothing is SURFACED (reports,
-      // sinks) until durable_seq() reaches this batch, so a crash before
-      // the marker lands re-exposes exactly what recovery replays.
-      CommitUnit unit;
-      unit.seq = wal_seq;
-      unit.counters = next;
-      unit.server_states = std::move(*ctx->server_states);
-      try {
-        durability_.enqueue_commit(std::move(unit));
-      } catch (...) {
-        rollback();
-        throw;
-      }
-    } else {
-      try {
-        durability_.commit_batch(wal_seq, next);
-      } catch (...) {
-        rollback();
-        throw;
-      }
-    }
-  }
-  cumulative_ = next;
+  commit_transaction(durability_, cumulative_, committed, wal_seq, rollback,
+                     std::move(transitions), ctx != nullptr);
   metrics_.record_batch(shared);
 
   // The batch is committed: apply the staged breaker effects. Position
@@ -1147,6 +1085,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     QueryHealth& h = registry_.find_mutable(states_[i]->id)->health;
     h.counters += to_query_counters(out.queries[i].report.stats);
     h.last_applied_seq = pos_seq;
+    states_[i]->metrics->record_batch(out.queries[i].report);
   }
   for (const StagedRejoin& r : rejoins) {
     QueryState& qs = *states_[r.index];
@@ -1154,6 +1093,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     h = r.health;
     h.counters += to_query_counters(out.queries[r.index].report.stats);
     h.last_applied_seq = pos_seq;
+    qs.metrics->record_batch(out.queries[r.index].report);
     qs.consecutive_failures = 0;
     qs.cooldown_remaining = 0;
     out.queries[r.index].rejoined = true;
@@ -1229,36 +1169,37 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     // Durable tail (serial schedule only — the pipelined one defers both
     // the image rewrite and the snapshot to its committer drain points,
     // where the image's aggregate cannot run ahead of the durable markers
-    // and compaction cannot truncate an in-flight commit).
-    //
-    // The registry image (per-query health + counters + the
-    // aggregate anchor) is rewritten after EVERY commit. The snapshot is
-    // attempted only when the image write succeeded — a snapshot past a
-    // stale image would advance the graph beyond per-query counters the
-    // image can still account for — and is deferred entirely while any
-    // query owes exact catch-up debt (the WAL must keep those batches).
-    const bool image_ok = write_registry_image();
-    if (image_ok) {
-      if (any_exact_catchup_debt()) {
-        const std::uint64_t interval = options_.durability.snapshot_interval;
-        if (interval > 0 &&
-            durability_.commits_since_snapshot() >= interval) {
-          metrics::Registry::global()
-              .counter(options_.metric_prefix +
-                       metric::kServerCatchupDeferredSnapshots)
-              .add();
-        }
-      } else if (force_snapshot_pending_) {
-        if (durability_.snapshot_now(graph_, cumulative_)) {
-          force_snapshot_pending_ = false;
-        }
-      } else {
-        durability_.maybe_snapshot(graph_, cumulative_);
-      }
+    // and compaction cannot truncate an in-flight commit). The registry
+    // image (per-query health + counters + the aggregate anchor) is
+    // rewritten after EVERY commit.
+    if (checkpoint_due()) {
+      checkpoint();
+    } else {
+      write_registry_image();
     }
   }
-  shared.metrics = metrics::Registry::global().snapshot();
   return out;
+}
+
+bool MultiQueryEngine::checkpoint_due() {
+  if (!force_snapshot_pending_ && !durability_.snapshot_due()) return false;
+  if (!any_exact_catchup_debt()) return true;
+  // Deferred: the WAL must keep the batches a quarantined query still owes.
+  metrics::Registry::global()
+      .counter(options_.metric_prefix +
+               metric::kServerCatchupDeferredSnapshots)
+      .add();
+  return false;
+}
+
+void MultiQueryEngine::checkpoint() {
+  // The snapshot is attempted only when the image write succeeded — a
+  // snapshot past a stale image would advance the graph beyond per-query
+  // counters the image can still account for.
+  if (write_registry_image() &&
+      durability_.snapshot_now(graph_, cumulative_)) {
+    force_snapshot_pending_ = false;
+  }
 }
 
 void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
@@ -1309,8 +1250,6 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
     Pending p;
     p.buffers.assign(states_.size(), {});
     ctx.buffers = &p.buffers;
-    std::vector<std::string> server_states;
-    ctx.server_states = &server_states;
     try {
       p.report = process_batch_inner(batches[k], &ctx);
     } catch (...) {
@@ -1330,34 +1269,14 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
     overlap_batches.add();
     surface_ready(false);
 
-    // Drain points: the snapshot cadence (and the registry-image rewrite
-    // the serial schedule does per commit) runs only once every queued
-    // marker has landed — compaction truncates the whole WAL, and the
-    // image's aggregate anchor must never outrun the durable markers.
-    if (durable_on) {
-      const std::uint64_t interval = options_.durability.snapshot_interval;
-      const bool due =
-          force_snapshot_pending_ ||
-          (interval > 0 && durability_.commits_since_snapshot() >= interval);
-      if (!due) continue;
-      if (any_exact_catchup_debt()) {
-        metrics::Registry::global()
-            .counter(options_.metric_prefix +
-                     metric::kServerCatchupDeferredSnapshots)
-            .add();
-        continue;
-      }
+    // Drain points: the checkpoint (and the registry-image rewrite the
+    // serial schedule does per commit) runs only once every queued marker
+    // has landed — compaction truncates the whole WAL, and the image's
+    // aggregate anchor must never outrun the durable markers.
+    if (durable_on && checkpoint_due()) {
       durability_.drain();
       surface_ready(true);
-      if (write_registry_image()) {
-        if (force_snapshot_pending_) {
-          if (durability_.snapshot_now(graph_, cumulative_)) {
-            force_snapshot_pending_ = false;
-          }
-        } else {
-          durability_.maybe_snapshot(graph_, cumulative_);
-        }
-      }
+      checkpoint();
     }
   }
 

@@ -44,8 +44,8 @@
 // the graph back and retry (device OOM shrinks the shared budget; exhausted
 // retries drop the cache and serve zero-copy); per-query match failures
 // retry and CPU-fall-back for that query alone. Durability logs each batch
-// ONCE; health transitions ride the WAL as kServerState records sequenced
-// against the batch stream, and the registry image (per-query health +
+// ONCE; health transitions ride the batch's commit unit as kServerState
+// records ahead of its marker, and the registry image (per-query health +
 // counters + an aggregate anchor) is rewritten after every commit so
 // recovery can restart per-query bookkeeping from the last image and replay
 // only the suffix (batches at or below the anchor replay graph-only).
@@ -288,6 +288,14 @@ class MultiQueryEngine {
   // Any quarantined query still owed an exact (non-overflowed) catch-up —
   // while true, snapshot compaction is deferred so the WAL keeps the debt.
   bool any_exact_catchup_debt() const;
+  // The one due-check of step 4, on both schedules: a snapshot is due when
+  // the interval elapsed or a registry change forced one. A due snapshot
+  // that catch-up debt defers is counted (server.catchup.deferred_snapshots)
+  // and reported as not due.
+  bool checkpoint_due();
+  // The one snapshot step: rewrites the registry image, then snapshots and
+  // compacts the WAL, clearing a forced snapshot once one is written.
+  void checkpoint();
   // Phase 2 alone: the one cache step over the CURRENT graph, with the
   // kMatch queries' weighted walks. Pure reads plus per-query estimator/RNG
   // state, so the pipelined schedule may run it on a pool thread while
@@ -332,9 +340,9 @@ class MultiQueryEngine {
                              QueryCounters* delta, const MatchSink* sink);
 
   // The whole batch body shared by process_batch (ctx == nullptr) and
-  // process_stream (ctx set: staged ingestion/estimate consumed,
-  // transitions + commit routed through the group committer, sinks
-  // buffered, and the durable tail deferred to the stream's drain points).
+  // process_stream (ctx set: staged ingestion/estimate consumed, the commit
+  // unit routed through the group committer, sinks buffered, and the
+  // durable tail deferred to the stream's drain points).
   ServerBatchReport process_batch_inner(const EdgeBatch& batch,
                                         PipelineCtx* ctx);
 

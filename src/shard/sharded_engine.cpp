@@ -279,17 +279,8 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
 
   // Commit: ONE marker per batch carrying the aggregated per-shard
   // counters; the in-memory cumulative state advances only after it lands.
-  const durable::DurableCounters next =
-      advance_counters(cumulative_, out.shared.stats, wal_seq);
-  if (wal_seq != 0) {
-    try {
-      durability_.commit_batch(wal_seq, next);
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
-  cumulative_ = next;
+  commit_transaction(durability_, cumulative_, out.shared.stats, wal_seq,
+                     rollback);
 
   sg_.note_applied(use);
   out.cut_edges = sg_.cut_edges();
@@ -310,8 +301,6 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
       .add(out.stitch.stitch_candidates);
   reg.histogram(prefix + metric::kShardStitchMs)
       .observe(out.stitch.stitch_seconds * 1e3);
-
-  out.shared.metrics = reg.snapshot();
   return out;
 }
 

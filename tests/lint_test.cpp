@@ -112,6 +112,20 @@ TEST(Lint, FlagsCacheOrderCopy) {
   }
 }
 
+TEST(Lint, FlagsCommitCopy) {
+  // The fixture writes commit units from the one step-3 commit (allowed)
+  // and, in server/, makes a member commit_batch call and names a WAL
+  // record type (both flagged).
+  const auto diags = lint_fixture("commit_copy");
+  ASSERT_EQ(diags.size(), 2u) << render(diags);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "commit-copy");
+    EXPECT_EQ(d.file, "src/server/bad.cpp");
+  }
+  EXPECT_NE(diags[0].message.find("commit_transaction"), std::string::npos);
+  EXPECT_NE(diags[1].message.find("DurabilityManager"), std::string::npos);
+}
+
 TEST(Lint, FlagsNakedLock) {
   const auto diags = lint_fixture("naked_lock");
   ASSERT_EQ(diags.size(), 2u) << render(diags);  // lock() and unlock()

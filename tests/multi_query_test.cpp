@@ -225,8 +225,8 @@ TEST(MultiQuery, PerQueryMetricScoping) {
   const QueryId a = engine.register_query(make_triangle());
   const QueryId b = engine.register_query(make_path(4));
 
-  const ServerBatchReport r = engine.process_batch(f.stream.batches[0]);
-  const metrics::Snapshot& snap = r.shared.metrics;
+  engine.process_batch(f.stream.batches[0]);
+  const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   // Per-query series live under "q<id>."; the shared phases keep the
   // process-wide names (the empty default prefix).
   EXPECT_GE(snap.counter_or("q" + std::to_string(a) + ".pipeline.batches"),
@@ -236,6 +236,40 @@ TEST(MultiQuery, PerQueryMetricScoping) {
   EXPECT_GE(snap.counter_or("q" + std::to_string(a) + ".estimator.walks"),
             1u);
   EXPECT_GE(snap.counter_or("pipeline.batches"), 1u);
+}
+
+TEST(MultiQuery, PerQuerySeriesCountCommittedBatchesOnly) {
+  // path(4) fails every attempt and the breaker never trips, so three
+  // submissions of the batch fail as a unit and roll back although the
+  // triangle matched each time. The client re-submits once path(4) is
+  // healthy; only that commit may reach the per-query series.
+  const StreamFixture f(15, 250, 64, 256);
+  FaultInjector inj(15);
+  MultiQueryOptions opt = multi_options(EngineKind::kGcsm);
+  opt.metric_prefix = "rolledback.";
+  opt.breaker.enabled = false;
+  opt.fault_injector = &inj;
+  MultiQueryEngine engine(f.stream.initial, opt);
+  const QueryId tri = engine.register_query(make_triangle());
+  const QueryId path = engine.register_query(make_path(4));
+  FaultSpec poison;
+  poison.probability = 1.0;
+  poison.match_query_id = path;
+  inj.arm(fault_site::kMatchQuery, poison);
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_THROW(engine.process_batch(f.stream.batches[0]), Error);
+  }
+  inj.disarm(fault_site::kMatchQuery);
+  const ServerBatchReport r = engine.process_batch(f.stream.batches[0]);
+
+  auto& reg = metrics::Registry::global();
+  const std::string q = "rolledback.q" + std::to_string(tri) + ".";
+  EXPECT_EQ(reg.counter("rolledback.pipeline.batches").value(), 1u);
+  EXPECT_EQ(reg.counter(q + "pipeline.batches").value(), 1u);
+  ASSERT_EQ(r.queries[0].id, tri);
+  EXPECT_GT(r.queries[0].report.traffic.cache_hits, 0u);
+  EXPECT_EQ(reg.counter(q + "cache.hits").value(),
+            r.queries[0].report.traffic.cache_hits);
 }
 
 // ---------------------------------------------------------------------------

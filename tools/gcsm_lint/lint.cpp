@@ -71,6 +71,21 @@ const std::set<std::string> kCacheOrderCalls = {
     "khop_vertices",
 };
 
+// Files allowed to write commit units and to name the WAL: the durability
+// manager, the one step-3 commit (core/recovery.*) and the WAL itself.
+// Every engine commits a batch through commit_transaction, so a change to
+// the commit path lands once (docs/ROBUSTNESS.md, "Commit protocol").
+const std::set<std::string> kCommitFiles = {
+    "src/core/durability.hpp", "src/core/durability.cpp",
+    "src/core/recovery.hpp",   "src/core/recovery.cpp",
+    "src/util/wal.hpp",        "src/util/wal.cpp",
+};
+const std::set<std::string> kCommitCalls = {
+    "commit_batch",
+    "enqueue_commit",
+    "log_server_state",
+};
+
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
 // branch on ErrorCode; drivers map it to the exit-code contract) and
 // CheckFailure (invariant violations from GCSM_CHECK/GCSM_ASSERT).
@@ -390,6 +405,33 @@ void check_cache_order_copies(const FileContext& ctx) {
   }
 }
 
+void check_commit_copies(const FileContext& ctx) {
+  if (kCommitFiles.count(ctx.rel) != 0) return;
+  const std::vector<Token>& toks = ctx.toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    const Token& name = toks[i];
+    const Token& next = toks[i + 1];
+    if (name.kind != TokKind::kIdent || next.kind != TokKind::kPunct) {
+      continue;
+    }
+    const bool member = i > 0 && toks[i - 1].kind == TokKind::kPunct &&
+                        (toks[i - 1].text == "." || toks[i - 1].text == "->");
+    if (name.text == "wal" && next.text == "::") {
+      emit(ctx, name.line, "commit-copy",
+           "wal:: name outside the commit path; read and write the log "
+           "through DurabilityManager (core/durability.hpp) so only it "
+           "knows the WAL record types");
+    } else if (member && next.text == "(" &&
+               kCommitCalls.count(name.text) != 0) {
+      emit(ctx, name.line, "commit-copy",
+           name.text +
+               " call outside the commit path; commit batches through "
+               "commit_transaction (core/recovery.hpp) so every engine "
+               "keeps running the one step 3");
+    }
+  }
+}
+
 void check_naked_locks(const FileContext& ctx) {
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
@@ -476,6 +518,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_kernel_copies(ctx);
     check_ladder_copies(ctx);
     check_cache_order_copies(ctx);
+    check_commit_copies(ctx);
     check_naked_locks(ctx);
   }
 
