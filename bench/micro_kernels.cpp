@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the library's primitives: sorted
-// intersection, binomial sampling, DCSR lookup, dynamic-graph updates, and
-// the frequency estimator. These are the hot paths of the matching kernel
-// and the Step-2/Step-5 host phases.
+// intersection (of id lists, and in place against a neighbor view as the
+// candidate step does), binomial sampling, DCSR lookup, dynamic-graph
+// updates, and the frequency estimator. These are the hot paths of the
+// matching kernel and the Step-2/Step-5 host phases.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -58,6 +59,65 @@ void BM_IntersectSkewed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntersectSkewed)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+// The candidate step's in-place intersection of acc with a stored neighbor
+// run (intersect_view_into), read where it lies. The step overwrites acc,
+// so each iteration refills it from `a`; the time includes that copy.
+void run_view_intersect(benchmark::State& state,
+                        const std::vector<VertexId>& a,
+                        const std::vector<VertexId>& run, ViewMode mode) {
+  NeighborView view;
+  view.mode = mode;
+  view.prefix = {run.data(), static_cast<std::uint32_t>(run.size())};
+  std::vector<VertexId> acc;
+  std::vector<VertexId> tmp;
+  acc.reserve(a.size());
+  for (auto _ : state) {
+    acc.assign(a.begin(), a.end());
+    benchmark::DoNotOptimize(intersect_view_into(acc, view, tmp));
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (a.size() + run.size()));
+}
+
+// `ids` with every `every`-th entry tombstoned.
+std::vector<VertexId> with_tombstones(std::vector<VertexId> ids,
+                                      std::size_t every) {
+  for (std::size_t i = 0; i < ids.size(); i += every) {
+    ids[i] = tombstone(ids[i]);
+  }
+  return ids;
+}
+
+void BM_IntersectViewBalancedOld(benchmark::State& state) {
+  // The merge over a kOld view, whose tombstones (1%) read as live.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto a = sorted_random(n, static_cast<VertexId>(4 * n), 1);
+  const auto b = with_tombstones(
+      sorted_random(n, static_cast<VertexId>(4 * n), 2), 100);
+  run_view_intersect(state, a, b, ViewMode::kOld);
+}
+BENCHMARK(BM_IntersectViewBalancedOld)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_IntersectViewSkewed(benchmark::State& state) {
+  // 32 ids against a long kOld view: the gallop.
+  const auto small = sorted_random(32, 1 << 20, 3);
+  const auto big =
+      sorted_random(static_cast<std::size_t>(state.range(0)), 1 << 20, 4);
+  run_view_intersect(state, small, big, ViewMode::kOld);
+}
+BENCHMARK(BM_IntersectViewSkewed)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_IntersectViewTombstonedNew(benchmark::State& state) {
+  // The merge over a kNew view that skips its 1% tombstones.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto a = sorted_random(n, static_cast<VertexId>(4 * n), 1);
+  const auto b = with_tombstones(
+      sorted_random(n, static_cast<VertexId>(4 * n), 2), 100);
+  run_view_intersect(state, a, b, ViewMode::kNew);
+}
+BENCHMARK(BM_IntersectViewTombstonedNew)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_BinomialSmallP(benchmark::State& state) {
   Rng rng(5);

@@ -29,9 +29,11 @@ class AccessPolicy {
  public:
   virtual ~AccessPolicy() = default;
 
-  // Returns the neighbor view of v and charges the traffic of reading it.
+  // Returns the neighbor view of v and charges the traffic of reading it to
+  // the caller's tally: each kernel block passes its own, so a fetch does no
+  // atomic read-modify-write (the launch merges the tallies once).
   virtual NeighborView fetch(VertexId v, ViewMode mode,
-                             gpusim::TrafficCounters& counters) = 0;
+                             gpusim::Traffic& traffic) = 0;
 
   // True for policies that execute on the (simulated) device.
   virtual bool on_device() const = 0;
@@ -42,7 +44,7 @@ class HostPolicy final : public AccessPolicy {
  public:
   explicit HostPolicy(const DynamicGraph& graph) : graph_(graph) {}
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override;
+                     gpusim::Traffic& traffic) override;
   bool on_device() const override { return false; }
 
  private:
@@ -55,7 +57,7 @@ class ZeroCopyPolicy final : public AccessPolicy {
   ZeroCopyPolicy(const DynamicGraph& graph, const gpusim::SimParams& params)
       : graph_(graph), line_bytes_(params.zero_copy_line_bytes) {}
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override;
+                     gpusim::Traffic& traffic) override;
   bool on_device() const override { return true; }
 
  private:
@@ -72,7 +74,7 @@ class UnifiedMemoryPolicy final : public AccessPolicy {
       : graph_(graph),
         pages_(params.um_page_cache_bytes, params.um_page_bytes) {}
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override;
+                     gpusim::Traffic& traffic) override;
   bool on_device() const override { return true; }
   gpusim::PageCache& page_cache() { return pages_; }
 
@@ -90,7 +92,7 @@ class CachedPolicy final : public AccessPolicy {
         cache_(cache),
         line_bytes_(params.zero_copy_line_bytes) {}
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override;
+                     gpusim::Traffic& traffic) override;
   bool on_device() const override { return true; }
 
  private:
@@ -109,7 +111,7 @@ class CountingPolicy final : public AccessPolicy {
         counts_(std::make_unique<std::atomic<std::uint64_t>[]>(
             static_cast<std::size_t>(graph.num_vertices()))) {}
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override;
+                     gpusim::Traffic& traffic) override;
   bool on_device() const override { return false; }
 
   std::vector<std::uint64_t> access_counts() const;

@@ -6,14 +6,37 @@
 namespace gcsm {
 namespace {
 
-// One seed pair's whole subtree, on this device.
+// Adds every block's traffic tally to the launch's counters once the launch
+// ends, a throw included, so a caller's before/after snapshots and a failed
+// attempt's charges see every access the launch made.
+class MergeTallies {
+ public:
+  MergeTallies(const std::vector<kernel::WorkerScratch>& scratch,
+               gpusim::TrafficCounters& counters)
+      : scratch_(scratch), counters_(counters) {}
+  MergeTallies(const MergeTallies&) = delete;
+  MergeTallies& operator=(const MergeTallies&) = delete;
+  ~MergeTallies() {
+    gpusim::Traffic sum;
+    for (const kernel::WorkerScratch& s : scratch_) sum += s.traffic;
+    counters_.add(sum);
+  }
+
+ private:
+  const std::vector<kernel::WorkerScratch>& scratch_;
+  gpusim::TrafficCounters& counters_;
+};
+
+// One seed pair's whole subtree, on this device, charged to the block's
+// tally.
 void enumerate_seed(const QueryGraph& query, const MatchPlan& plan,
                     const DynamicGraph& graph, VertexId xa, VertexId xb,
-                    int sign, const kernel::PolicyFetch& fetch,
+                    int sign, AccessPolicy& policy,
                     kernel::WorkerScratch& scratch, kernel::SinkLock& sink,
                     const CandidateFilter* filter) {
   ++scratch.stats.seeds;
-  kernel::enumerate(query, plan, graph, {xa, xb}, 0, sign, fetch, scratch,
+  kernel::enumerate(query, plan, graph, {xa, xb}, 0, sign,
+                    kernel::PolicyFetch(policy, scratch.traffic), scratch,
                     sink, filter);
 }
 
@@ -44,11 +67,8 @@ MatchStats MatchEngine::match_batch_with_plans(
     const CandidateFilter* filter,
     std::vector<double>* per_block_busy_seconds) {
   std::vector<kernel::WorkerScratch> scratch(executor_.num_blocks());
+  const MergeTallies merge(scratch, counters);
   kernel::SinkLock sink_lock(sink);
-  const kernel::PolicyFetch fetch{policy, counters};
-  if (per_block_busy_seconds != nullptr) {
-    per_block_busy_seconds->assign(executor_.num_blocks(), 0.0);
-  }
 
   executor_.for_each_item(
       kernel::num_seed_items(plans.size(), batch), grain_,
@@ -59,16 +79,21 @@ MatchStats MatchEngine::match_batch_with_plans(
                                  filter)) {
           return;
         }
+        kernel::WorkerScratch& ws = scratch[block];
         const Timer seed_timer;
         enumerate_seed(query_, plan, graph, seed.xa, seed.xb, seed.sign,
-                       fetch, scratch[block], sink_lock, filter);
-        if (per_block_busy_seconds != nullptr) {
-          (*per_block_busy_seconds)[block] += seed_timer.seconds();
-        }
+                       policy, ws, sink_lock, filter);
+        ws.busy_seconds += seed_timer.seconds();
       });
 
   MatchStats stats;
-  for (const kernel::WorkerScratch& s : scratch) stats += s.stats;
+  if (per_block_busy_seconds != nullptr) per_block_busy_seconds->clear();
+  for (const kernel::WorkerScratch& s : scratch) {
+    stats += s.stats;
+    if (per_block_busy_seconds != nullptr) {
+      per_block_busy_seconds->push_back(s.busy_seconds);
+    }
+  }
   return stats;
 }
 
@@ -77,8 +102,8 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
                                    gpusim::TrafficCounters& counters,
                                    const MatchSink* sink) {
   std::vector<kernel::WorkerScratch> scratch(executor_.num_blocks());
+  const MergeTallies merge(scratch, counters);
   kernel::SinkLock sink_lock(sink);
-  const kernel::PolicyFetch fetch{policy, counters};
 
   // Every ordered pair (xa, xb) is its own seed, so both orientations are
   // covered.
@@ -86,10 +111,12 @@ MatchStats MatchEngine::match_full(const DynamicGraph& graph,
       static_cast<std::size_t>(graph.num_vertices()), grain_ * 16,
       [&](std::size_t item, std::size_t block) {
         const auto xa = static_cast<VertexId>(item);
+        kernel::WorkerScratch& ws = scratch[block];
         kernel::scan_static_seeds(
-            query_, static_plan_, graph, xa, fetch, [&](VertexId xb) {
-              enumerate_seed(query_, static_plan_, graph, xa, xb, +1, fetch,
-                             scratch[block], sink_lock, nullptr);
+            query_, static_plan_, graph, xa,
+            kernel::PolicyFetch(policy, ws.traffic), [&](VertexId xb) {
+              enumerate_seed(query_, static_plan_, graph, xa, xb, +1, policy,
+                             ws, sink_lock, nullptr);
             });
       });
 

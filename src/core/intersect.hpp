@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/dynamic_graph.hpp"
 #include "graph/types.hpp"
 
 namespace gcsm {
@@ -25,5 +26,21 @@ std::uint64_t intersect_sorted(const VertexId* a, std::size_t na,
 // of `acc` present in [b, b+nb). Returns op count.
 std::uint64_t intersect_into(std::vector<VertexId>& acc, const VertexId* b,
                              std::size_t nb);
+
+// The candidate step's in-place intersection with a neighbor view: keeps
+// only the elements of `acc` that are live in `b`, reading b's stored
+// entries where they lie (kOld tombstones decoded as live, kNew tombstones
+// skipped) instead of copying them first. A kNew view with an appended run
+// is materialized into `tmp` and intersected with intersect_into.
+//
+// Returns the ops the simulated kernel charges for the step, which the cost
+// model fixes and the host loop does not: |live(b)| for reading b, plus
+// what intersect_into counts on the materialized b. That is, when
+// |acc|·32 >= |live(b)|, the merge's iterations (i_end + j_end - matches);
+// otherwise 8 per acc element up to and including the first one past b's
+// largest live id. The host may therefore run any loop it likes.
+std::uint64_t intersect_view_into(std::vector<VertexId>& acc,
+                                  const NeighborView& b,
+                                  std::vector<VertexId>& tmp);
 
 }  // namespace gcsm

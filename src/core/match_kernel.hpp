@@ -35,32 +35,38 @@ using Binding = std::array<VertexId, kMaxQueryVertices>;
 
 // Per-worker scratch: the DFS stack (one candidate buffer and cursor per
 // plan level), a list buffer every candidate step reuses, and the worker's
-// counts, summed once the launch ends.
-struct WorkerScratch {
+// counts, traffic tally and busy time, summed once the launch ends. Only
+// its own block writes it; cache-line alignment keeps blocks from sharing
+// a line.
+struct alignas(64) WorkerScratch {
   std::array<std::vector<VertexId>, kMaxQueryVertices> cand;
   std::array<std::uint32_t, kMaxQueryVertices> cursor{};
   std::vector<VertexId> tmp;
   MatchStats stats;
+  gpusim::Traffic traffic;
+  double busy_seconds = 0.0;
 };
 
 // The matchers' fetch: reads a list through an access policy, which charges
-// its traffic, and charges the set operations done on fetched lists to the
-// right side of the cost model: SIMT compute for device policies, host ops
-// for CPU policies.
-struct PolicyFetch {
-  AccessPolicy& policy;
-  gpusim::TrafficCounters& counters;
+// its traffic to the worker's tally, and charges the set operations done on
+// fetched lists to the right side of the cost model: SIMT compute for
+// device policies, host ops for CPU policies.
+class PolicyFetch {
+ public:
+  PolicyFetch(AccessPolicy& policy, gpusim::Traffic& traffic)
+      : policy_(policy),
+        traffic_(traffic),
+        ops_(policy.on_device() ? traffic.compute_ops : traffic.host_ops) {}
 
   NeighborView operator()(VertexId v, ViewMode mode) const {
-    return policy.fetch(v, mode, counters);
+    return policy_.fetch(v, mode, traffic_);
   }
-  void charge(std::uint64_t ops) const {
-    if (policy.on_device()) {
-      counters.add_compute(ops);
-    } else {
-      counters.add_host(ops, 0);
-    }
-  }
+  void charge(std::uint64_t ops) const { ops_ += ops; }
+
+ private:
+  AccessPolicy& policy_;
+  gpusim::Traffic& traffic_;
+  std::uint64_t& ops_;  // traffic_'s compute_ops or host_ops
 };
 
 // Serializes sink calls across workers; without a sink, emitting is free.
@@ -129,9 +135,11 @@ inline bool bindable(const QueryGraph& query, const DynamicGraph& graph,
 }
 
 // The candidate step: out = the intersection of the level's constraint
-// views, fetched in constraint order and stopping once out is empty.
-// Returns the set-operation count: every materialized id plus every
-// intersection comparison. fetch(v, mode) returns v's NeighborView.
+// views, fetched in constraint order and stopping once out is empty. Only
+// the first view is copied (into out); the others are intersected in place
+// where they lie. Returns the set-operation count the cost model charges:
+// every live id of every view read plus every comparison of intersect_into
+// (see intersect_view_into). fetch(v, mode) returns v's NeighborView.
 template <typename Fetch>
 std::uint64_t candidate_step(const PlanLevel& pl, const Binding& bound,
                              const Fetch& fetch, std::vector<VertexId>& out,
@@ -142,10 +150,7 @@ std::uint64_t candidate_step(const PlanLevel& pl, const Binding& bound,
   std::uint64_t ops = out.size();
   for (std::size_t i = 1; i < pl.constraints.size() && !out.empty(); ++i) {
     const BackwardConstraint& c = pl.constraints[i];
-    tmp.clear();
-    materialize_view(fetch(bound[c.order_pos], c.view), tmp);
-    ops += tmp.size();
-    ops += intersect_into(out, tmp.data(), tmp.size());
+    ops += intersect_view_into(out, fetch(bound[c.order_pos], c.view), tmp);
   }
   return ops;
 }

@@ -80,30 +80,20 @@ struct Traffic {
   std::uint64_t cpu_access_bytes(const SimParams& p) const;
 };
 
-// Thread-safe accumulator used during kernel execution.
+// Thread-safe accumulator of a device's traffic across launches. Kernel
+// blocks do not charge it per access: each charges a plain Traffic tally of
+// its own, and the launch adds the tallies here once it ends.
 class TrafficCounters {
  public:
   void reset();
   Traffic snapshot() const;
-
-  void add_device_bytes(std::uint64_t b) { device_bytes_.fetch_add(b, mo); }
-  void add_zero_copy(std::uint64_t lines, std::uint64_t bytes) {
-    zero_copy_lines_.fetch_add(lines, mo);
-    zero_copy_bytes_.fetch_add(bytes, mo);
-  }
+  // Adds a launch's block tallies, summed.
+  void add(const Traffic& t);
+  // Charges host-to-device copies as they are made.
   void add_dma(std::uint64_t calls, std::uint64_t bytes) {
     dma_calls_.fetch_add(calls, mo);
     dma_bytes_.fetch_add(bytes, mo);
   }
-  void add_um_fault(std::uint64_t n = 1) { um_faults_.fetch_add(n, mo); }
-  void add_um_hit(std::uint64_t n = 1) { um_hits_.fetch_add(n, mo); }
-  void add_compute(std::uint64_t ops) { compute_ops_.fetch_add(ops, mo); }
-  void add_host(std::uint64_t ops, std::uint64_t bytes) {
-    host_ops_.fetch_add(ops, mo);
-    host_bytes_.fetch_add(bytes, mo);
-  }
-  void add_cache_hit(std::uint64_t n = 1) { cache_hits_.fetch_add(n, mo); }
-  void add_cache_miss(std::uint64_t n = 1) { cache_misses_.fetch_add(n, mo); }
 
  private:
   static constexpr auto mo = std::memory_order_relaxed;

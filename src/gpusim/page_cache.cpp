@@ -8,25 +8,25 @@ PageCache::PageCache(std::uint64_t capacity_bytes, std::uint32_t page_bytes)
 }
 
 void PageCache::access(const void* addr, std::size_t bytes,
-                       TrafficCounters& counters) {
+                       Traffic& traffic) {
   if (bytes == 0) return;
   const auto start = reinterpret_cast<std::uintptr_t>(addr);
   const std::uint64_t first = start / page_bytes_;
   const std::uint64_t last = (start + bytes - 1) / page_bytes_;
   std::lock_guard<std::mutex> lk(mu_);
   for (std::uint64_t page = first; page <= last; ++page) {
-    touch_page(page, counters);
+    touch_page(page, traffic);
   }
 }
 
-void PageCache::touch_page(std::uint64_t page, TrafficCounters& counters) {
+void PageCache::touch_page(std::uint64_t page, Traffic& traffic) {
   const auto it = map_.find(page);
   if (it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    counters.add_um_hit();
+    ++traffic.um_hits;
     return;
   }
-  counters.add_um_fault();
+  ++traffic.um_faults;
   if (map_.size() >= capacity_pages_) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();

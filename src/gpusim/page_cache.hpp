@@ -20,15 +20,15 @@ class PageCache {
 
   // Registers an access to `bytes` bytes starting at host address `addr`.
   // Counts one fault per non-resident page touched (plus hits for resident
-  // pages) on `counters`, updating LRU recency.
-  void access(const void* addr, std::size_t bytes, TrafficCounters& counters);
+  // pages) on the caller's `traffic` tally, updating LRU recency.
+  void access(const void* addr, std::size_t bytes, Traffic& traffic);
 
   void clear();
   std::size_t resident_pages() const;
   std::uint64_t capacity_pages() const { return capacity_pages_; }
 
  private:
-  void touch_page(std::uint64_t page, TrafficCounters& counters);
+  void touch_page(std::uint64_t page, Traffic& traffic);
 
   std::uint64_t capacity_pages_;
   std::uint32_t page_bytes_;

@@ -25,8 +25,8 @@ class RoutedShardPolicy final : public AccessPolicy {
   }
 
   NeighborView fetch(VertexId v, ViewMode mode,
-                     gpusim::TrafficCounters& counters) override {
-    return policies_[sg_.owner(v)]->fetch(v, mode, counters);
+                     gpusim::Traffic& traffic) override {
+    return policies_[sg_.owner(v)]->fetch(v, mode, traffic);
   }
   bool on_device() const override { return on_device_; }
 
@@ -47,11 +47,11 @@ struct Partial {
 };
 
 // One shard's state for one launch. Only that shard's pool task touches it
-// within a round; the barrier between rounds hands its outbox over.
+// within a round; the barrier between rounds hands its outbox over. The
+// shard's traffic is its scratch's plain tally, read once the launch ends.
 struct ShardTask {
   std::uint32_t shard = 0;
   std::unique_ptr<RoutedShardPolicy> policy;
-  gpusim::TrafficCounters counters;
   kernel::WorkerScratch scratch;
   std::uint64_t routed_items = 0;
   std::uint64_t migrated = 0;
@@ -148,7 +148,8 @@ class RoutedLaunch {
       return false;
     };
     kernel::enumerate(query_, plan, sg_.graph(task.shard), p.bound, p.level,
-                      p.sign, kernel::PolicyFetch{*task.policy, task.counters},
+                      p.sign,
+                      kernel::PolicyFetch(*task.policy, task.scratch.traffic),
                       task.scratch, sink_, nullptr, stays_here);
   }
 
@@ -225,7 +226,7 @@ MatchStats ShardedMatcher::match_batch(
     routed += task.routed_items;
     migrated += task.migrated;
     if (per_shard_traffic != nullptr) {
-      per_shard_traffic->push_back(task.counters.snapshot());
+      per_shard_traffic->push_back(task.scratch.traffic);
     }
   }
   if (stitch != nullptr) {
@@ -246,7 +247,7 @@ MatchStats ShardedMatcher::match_full(EngineKind effective_kind,
                       sg, sim, sink);
   const VertexId n = sg.num_vertices();
   launch.for_each_task(pool, [&](ShardTask& task) {
-    const kernel::PolicyFetch fetch{*task.policy, task.counters};
+    const kernel::PolicyFetch fetch(*task.policy, task.scratch.traffic);
     for (VertexId xa = 0; xa < n; ++xa) {
       if (sg.owner(xa) != task.shard) continue;
       // Every ordered pair (xa, xb) is its own seed, so both orientations

@@ -89,15 +89,19 @@ TEST(CostModel, CpuAccessBytesCombinesInterconnectClasses) {
 
 TEST(TrafficCounters, SnapshotAndReset) {
   TrafficCounters c;
-  c.add_device_bytes(10);
-  c.add_zero_copy(2, 256);
+  Traffic tally;  // one kernel block's tally, merged once
+  tally.device_bytes = 10;
+  tally.zero_copy_lines = 2;
+  tally.zero_copy_bytes = 256;
+  tally.um_faults = 1;
+  tally.um_hits = 3;
+  tally.compute_ops = 42;
+  tally.host_ops = 7;
+  tally.host_bytes = 70;
+  tally.cache_hits = 1;
+  tally.cache_misses = 2;
+  c.add(tally);
   c.add_dma(1, 999);
-  c.add_um_fault();
-  c.add_um_hit(3);
-  c.add_compute(42);
-  c.add_host(7, 70);
-  c.add_cache_hit();
-  c.add_cache_miss(2);
   Traffic t = c.snapshot();
   EXPECT_EQ(t.device_bytes, 10u);
   EXPECT_EQ(t.zero_copy_lines, 2u);
@@ -187,38 +191,35 @@ TEST(Device, DmaLargerThanBufferThrows) {
 
 TEST(PageCache, FirstTouchFaultsSecondHits) {
   PageCache cache(1 << 20, 4096);
-  TrafficCounters c;
+  Traffic t;
   int x = 0;
-  cache.access(&x, sizeof(x), c);
-  cache.access(&x, sizeof(x), c);
-  const Traffic t = c.snapshot();
+  cache.access(&x, sizeof(x), t);
+  cache.access(&x, sizeof(x), t);
   EXPECT_EQ(t.um_faults, 1u);
   EXPECT_EQ(t.um_hits, 1u);
 }
 
 TEST(PageCache, SpanningAccessTouchesAllPages) {
   PageCache cache(1 << 20, 4096);
-  TrafficCounters c;
+  Traffic t;
   std::vector<char> blob(4096 * 3 + 10);
-  cache.access(blob.data(), blob.size(), c);
-  const Traffic t = c.snapshot();
+  cache.access(blob.data(), blob.size(), t);
   EXPECT_GE(t.um_faults, 3u);
   EXPECT_LE(t.um_faults, 5u);  // up to 2 extra for misalignment
 }
 
 TEST(PageCache, LruEvictsOldest) {
   PageCache cache(2 * 4096, 4096);  // room for two pages
-  TrafficCounters c;
+  Traffic t;
   auto addr = [](std::uint64_t page) {
     return reinterpret_cast<const void*>(page * 4096);
   };
-  cache.access(addr(1), 1, c);  // fault
-  cache.access(addr(2), 1, c);  // fault
-  cache.access(addr(1), 1, c);  // hit, page 1 becomes MRU
-  cache.access(addr(3), 1, c);  // fault, evicts page 2
-  cache.access(addr(2), 1, c);  // fault again
-  cache.access(addr(1), 1, c);  // page 1 survived? (evicted by page 2) ...
-  const Traffic t = c.snapshot();
+  cache.access(addr(1), 1, t);  // fault
+  cache.access(addr(2), 1, t);  // fault
+  cache.access(addr(1), 1, t);  // hit, page 1 becomes MRU
+  cache.access(addr(3), 1, t);  // fault, evicts page 2
+  cache.access(addr(2), 1, t);  // fault again
+  cache.access(addr(1), 1, t);  // page 1 survived? (evicted by page 2) ...
   // faults: 1,2,3,2 again, and 1 (evicted when 2 was refetched? page 1 was
   // MRU before 3 arrived, so 3 evicted 2; refetching 2 evicted 3 or 1).
   EXPECT_EQ(t.um_faults + t.um_hits, 6u);
@@ -228,9 +229,9 @@ TEST(PageCache, LruEvictsOldest) {
 
 TEST(PageCache, ClearEmptiesResidentSet) {
   PageCache cache(1 << 20, 4096);
-  TrafficCounters c;
+  Traffic t;
   std::vector<char> blob(4096 * 2);
-  cache.access(blob.data(), blob.size(), c);
+  cache.access(blob.data(), blob.size(), t);
   EXPECT_GT(cache.resident_pages(), 0u);
   cache.clear();
   EXPECT_EQ(cache.resident_pages(), 0u);

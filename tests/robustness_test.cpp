@@ -198,7 +198,7 @@ TEST(Robustness, IntersectFuzzAgainstStl) {
 
 TEST(Robustness, PageCacheConcurrentAccessIsSafe) {
   gpusim::PageCache cache(64 * 4096, 4096);
-  gpusim::TrafficCounters counters;
+  std::vector<gpusim::Traffic> tallies(4);  // one per thread, as per block
   std::vector<std::thread> threads;
   std::atomic<bool> go{false};
   for (int t = 0; t < 4; ++t) {
@@ -208,13 +208,14 @@ TEST(Robustness, PageCacheConcurrentAccessIsSafe) {
       for (int i = 0; i < 5000; ++i) {
         const auto addr = reinterpret_cast<const void*>(
             static_cast<std::uintptr_t>((i * 7919 + t * 131) % 512) * 4096);
-        cache.access(addr, 64, counters);
+        cache.access(addr, 64, tallies[static_cast<std::size_t>(t)]);
       }
     });
   }
   go = true;
   for (auto& t : threads) t.join();
-  const auto traffic = counters.snapshot();
+  gpusim::Traffic traffic;
+  for (const gpusim::Traffic& t : tallies) traffic += t;
   EXPECT_EQ(traffic.um_faults + traffic.um_hits, 4u * 5000u);
   EXPECT_LE(cache.resident_pages(), 64u);
 }
