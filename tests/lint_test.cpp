@@ -77,13 +77,29 @@ TEST(Lint, FlagsStrayRelaxedAtomic) {
 }
 
 TEST(Lint, FlagsKernelCopy) {
-  // The fixture calls intersect_into twice: from a whitelisted kernel path
-  // (allowed) and from a private candidate loop in shard/ (flagged).
+  // The fixture calls intersect_into and intersect_view_into from a
+  // whitelisted kernel path (allowed) and from private candidate loops in
+  // shard/ (flagged, once each).
   const auto diags = lint_fixture("kernel_copy");
+  ASSERT_EQ(diags.size(), 2u) << render(diags);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "kernel-copy");
+    EXPECT_EQ(d.file, "src/shard/bad.cpp");
+    EXPECT_NE(d.message.find("candidate_step"), std::string::npos);
+  }
+  EXPECT_NE(diags[1].message.find("intersect_view_into"), std::string::npos);
+}
+
+TEST(Lint, FlagsSharedTally) {
+  // The fixture names TrafficCounters on the fetch path (flagged once; a
+  // comment naming it passes) and in the launch that merges the tallies
+  // (allowed).
+  const auto diags = lint_fixture("shared_tally");
   ASSERT_EQ(diags.size(), 1u) << render(diags);
-  EXPECT_EQ(diags[0].rule, "kernel-copy");
-  EXPECT_EQ(diags[0].file, "src/shard/bad.cpp");
-  EXPECT_NE(diags[0].message.find("candidate_step"), std::string::npos);
+  EXPECT_EQ(diags[0].rule, "shared-tally");
+  EXPECT_EQ(diags[0].file, "src/core/access_policy.hpp");
+  EXPECT_EQ(diags[0].line, 6);
+  EXPECT_NE(diags[0].message.find("gpusim::Traffic tally"), std::string::npos);
 }
 
 TEST(Lint, FlagsLadderCopy) {

@@ -19,23 +19,43 @@ namespace fs = std::filesystem;
 
 // Files allowed to use std::memory_order_relaxed: the lock-free metrics
 // fast path and trace-span gate (relaxed by design — each metric update is
-// an independent monotonic event), the cost model's per-thread op counters
-// (summed only after join), and the access-policy traffic counters (same
-// join-before-read discipline).
+// an independent monotonic event), the cost model's TrafficCounters (a
+// launch adds its summed block tallies once; read only after the join),
+// and access_policy.cpp, only for CountingPolicy's per-vertex access counts
+// (same join-before-read discipline). Kernel traffic is charged to plain
+// per-block tallies, not here (see shared-tally below).
 const std::set<std::string> kRelaxedAtomicFiles = {
     "src/util/metrics.hpp",      "src/util/metrics.cpp",
     "src/util/trace.hpp",        "src/util/trace.cpp",
     "src/gpusim/cost_model.hpp", "src/core/access_policy.cpp",
 };
 
-// Files allowed to call intersect_into: the intersection kernels and the
-// one match kernel. Every matcher and the estimator reach set intersection
-// through kernel::candidate_step, so a change to the candidate step lands
-// once (DESIGN.md §5, "One enumeration core").
+// Files allowed to call the candidate step's intersections: the
+// intersection kernels and the one match kernel. Every matcher and the
+// estimator reach set intersection through kernel::candidate_step, so a
+// change to the candidate step lands once (DESIGN.md §5, "One enumeration
+// core").
 const std::set<std::string> kKernelFiles = {
     "src/core/intersect.hpp",
     "src/core/intersect.cpp",
     "src/core/match_kernel.hpp",
+};
+const std::set<std::string> kKernelCalls = {
+    "intersect_into",
+    "intersect_view_into",
+};
+
+// Files on the kernel's fetch path, which charge traffic per list read:
+// they charge the caller's plain gpusim::Traffic, a tally each kernel block
+// owns and its launch adds to the device's TrafficCounters once. A
+// TrafficCounters here would put atomics that every block shares back on
+// every fetch (DESIGN.md §5, "One enumeration core").
+const std::set<std::string> kFetchPathFiles = {
+    "src/core/match_kernel.hpp",  "src/core/access_policy.hpp",
+    "src/core/access_policy.cpp", "src/core/list_ref.hpp",
+    "src/core/list_ref.cpp",      "src/core/intersect.hpp",
+    "src/core/intersect.cpp",     "src/gpusim/page_cache.hpp",
+    "src/gpusim/page_cache.cpp",
 };
 
 // Files allowed to read the recovery knobs below: the one recovery ladder.
@@ -355,12 +375,26 @@ void check_kernel_copies(const FileContext& ctx) {
   if (kKernelFiles.count(ctx.rel) != 0) return;
   const std::vector<Token>& toks = ctx.toks;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind == TokKind::kIdent && toks[i].text == "intersect_into" &&
+    if (toks[i].kind == TokKind::kIdent &&
+        kKernelCalls.count(toks[i].text) != 0 &&
         toks[i + 1].kind == TokKind::kPunct && toks[i + 1].text == "(") {
       emit(ctx, toks[i].line, "kernel-copy",
-           "intersect_into call outside the match kernel; compute candidates "
-           "with kernel::candidate_step (core/match_kernel.hpp) so every "
-           "matcher keeps running the one candidate step");
+           toks[i].text +
+               " call outside the match kernel; compute candidates with "
+               "kernel::candidate_step (core/match_kernel.hpp) so every "
+               "matcher keeps running the one candidate step");
+    }
+  }
+}
+
+void check_shared_tallies(const FileContext& ctx) {
+  if (kFetchPathFiles.count(ctx.rel) == 0) return;
+  for (const Token& t : ctx.toks) {
+    if (t.kind == TokKind::kIdent && t.text == "TrafficCounters") {
+      emit(ctx, t.line, "shared-tally",
+           "TrafficCounters on the kernel's fetch path; charge the caller's "
+           "gpusim::Traffic tally, which its launch adds to the device's "
+           "counters once, so no fetch does an atomic every block shares");
     }
   }
 }
@@ -516,6 +550,7 @@ std::vector<Diagnostic> run_lint(const Options& options) {
     check_throws(ctx);
     check_relaxed_atomics(ctx);
     check_kernel_copies(ctx);
+    check_shared_tallies(ctx);
     check_ladder_copies(ctx);
     check_cache_order_copies(ctx);
     check_commit_copies(ctx);

@@ -22,10 +22,16 @@
 //   stray-relaxed-atomic std::memory_order_relaxed outside the audited
 //                        whitelist (util/metrics, util/trace,
 //                        gpusim/cost_model.hpp, core/access_policy.cpp).
-//   kernel-copy          a call to intersect_into outside core/intersect.*
-//                        and the match kernel (core/match_kernel.hpp): a
-//                        second candidate loop that kernel changes would
-//                        miss.
+//   kernel-copy          a call to intersect_into or intersect_view_into
+//                        outside core/intersect.* and the match kernel
+//                        (core/match_kernel.hpp): a second candidate loop
+//                        that kernel changes would miss.
+//   shared-tally         the identifier TrafficCounters on the kernel's
+//                        fetch path (core/match_kernel.hpp,
+//                        core/access_policy.*, core/list_ref.*,
+//                        core/intersect.*, gpusim/page_cache.*): fetches
+//                        charge the block's plain Traffic tally, merged
+//                        once per launch, not atomics all blocks share.
 //   ladder-copy          a member access to a RecoveryOptions ladder knob
 //                        (max_attempts, backoff_*, min_cache_budget_bytes,
 //                        ...) outside the recovery ladder (core/recovery.*):
