@@ -286,7 +286,18 @@ std::uint64_t DurabilityManager::begin_batch(const EdgeBatch& batch) {
 }
 
 void DurabilityManager::commit_batch(const CommitUnit& unit) {
-  write_commits({&unit, 1});
+  ensure_writer();
+  const std::uint64_t before = writer_->size();
+  try {
+    write_commits({&unit, 1});
+  } catch (const CrashError&) {
+    throw;
+  } catch (const Error&) {
+    // The batch rolls back and is re-submitted under a new seq: a marker
+    // left in the log would replay it twice.
+    writer_->truncate(before);
+    throw;
+  }
   ++commits_since_snapshot_;
 }
 
@@ -326,15 +337,11 @@ DurabilityManager::committed_batches(std::uint64_t after,
 
 bool DurabilityManager::maybe_snapshot(
     const DynamicGraph& graph, const durable::DurableCounters& counters) {
-  return snapshot_due() && snapshot_now(graph, counters);
-}
-
-bool DurabilityManager::snapshot_now(
-    const DynamicGraph& graph, const durable::DurableCounters& counters) {
   static auto& m_failures =
       metrics::Registry::global().counter(metric::kSnapshotFailures);
   static auto& m_compactions =
       metrics::Registry::global().counter(metric::kWalCompactions);
+  if (!snapshot_due()) return false;
   try {
     retry_write([&] {
       durable::write_snapshot_file(snapshot_path_, graph.snapshot_full(),
@@ -344,7 +351,7 @@ bool DurabilityManager::snapshot_now(
     throw;
   } catch (const Error& e) {
     // A failed snapshot never loses data: the WAL still covers every
-    // committed batch. Skip this interval and try again at the next one.
+    // committed batch. Skip this interval and try again at the next commit.
     warn(nullptr, std::string("snapshot skipped: ") + e.what());
     m_failures.add();
     return false;
@@ -354,7 +361,7 @@ bool DurabilityManager::snapshot_now(
     // Compaction: the snapshot was written right after a commit, so every
     // WAL record is covered by it — drop the whole prefix.
     ensure_writer();
-    writer_->reset();
+    writer_->truncate(0);
     m_compactions.add();
   } catch (const Error& e) {
     // Failed truncation keeps stale records; recovery's seq filter ignores

@@ -141,6 +141,9 @@ class DurabilityManager {
 
   // Step 3, synchronously: appends the unit's server-state records, then its
   // commit marker, and fsyncs once. Same retry contract as begin_batch.
+  // When a non-crash Error escapes, the log is first truncated back to its
+  // length before the unit: the caller rolls the batch back and the client
+  // re-submits it under a new seq, so no record of this unit may replay.
   void commit_batch(const CommitUnit& unit);
 
   // Step 3 through group commit (docs/ROBUSTNESS.md, "Group commit"): hands
@@ -157,10 +160,10 @@ class DurabilityManager {
   std::uint64_t durable_seq() const;
 
   // Blocks until every enqueued unit is durable; rethrows a committer
-  // failure. MUST be called before snapshot_now/maybe_snapshot or
-  // committed_batches while group commit is in flight: compaction
-  // truncates the whole log, which is only sound once every queued marker
-  // has landed. No-op when the committer was never started.
+  // failure. MUST be called before maybe_snapshot or committed_batches
+  // while group commit is in flight: compaction truncates the whole log,
+  // which is only sound once every queued marker has landed. No-op when
+  // the committer was never started.
   void drain();
 
   // Durably logs a kShed audit record (admission control dropped a batch
@@ -186,21 +189,13 @@ class DurabilityManager {
            commits_since_snapshot_ >= options_.snapshot_interval;
   }
 
-  // Step 4: snapshot + compact when snapshot_due(). A CrashError escapes
-  // (the process is "dead"); any other failure is swallowed with a
-  // warning — the WAL still covers everything, so correctness is intact.
-  // Returns true when a snapshot was actually written (the caller may need
-  // to refresh snapshot-relative baselines).
+  // Step 4, the only way to take a snapshot: when snapshot_due(), writes
+  // the graph snapshot and compacts the WAL. A CrashError escapes (the
+  // process is "dead"); any other failure is swallowed with a warning — the
+  // WAL still covers everything, so correctness is intact, and the next
+  // commit tries again. Returns true when a snapshot was actually written.
   bool maybe_snapshot(const DynamicGraph& graph,
                       const durable::DurableCounters& counters);
-
-  // Forces the snapshot + WAL compaction regardless of the interval. Same
-  // failure contract as maybe_snapshot; returns false when the snapshot was
-  // skipped after exhausting retries (the WAL remains authoritative). Used
-  // by the multi-query engine when the query registry changes: batches
-  // committed under the old registry must never replay into the new one.
-  bool snapshot_now(const DynamicGraph& graph,
-                    const durable::DurableCounters& counters);
 
  private:
   void ensure_writer();

@@ -167,7 +167,10 @@ MultiQueryEngine::MultiQueryEngine(const CsrGraph& initial,
   std::size_t ri = 0;
 
   if (!recovery_info_.replay.empty() || !records.empty()) {
-    if (states_.empty()) {
+    // Batches at or below the anchor replay graph-only and need no query:
+    // the registry may have been emptied after they committed.
+    if (states_.empty() && !recovery_info_.replay.empty() &&
+        recovery_info_.replay.back().first > anchor_seq) {
       throw Error(ErrorCode::kRecovery,
                   "WAL holds committed batches but no query is registered");
     }
@@ -292,36 +295,16 @@ void MultiQueryEngine::refresh_breaker_gauges() const {
   debt.set(debt_sum);
 }
 
-void MultiQueryEngine::persist_registry(bool allow_defer) {
-  if (!options_.durability.enabled()) return;
-  if (cumulative_.batches_committed > 0) {
-    // Compact batches committed under the previous registry into a snapshot
-    // so they can never replay into the new one. While a quarantined query
-    // still owes exact catch-up, a REGISTRATION defers the compaction (the
-    // image's per-query positions anchor the new query past every batch
-    // already in the WAL, so replay stays correct) and the snapshot fires
-    // at the first debt-free commit. An UNREGISTRATION can never defer: the
-    // removed query's contributions are baked into the commit markers, so
-    // the WAL prefix must be compacted away — outstanding debt holders fall
-    // back to re-baseline when the WAL no longer covers them.
-    if (allow_defer && any_exact_catchup_debt()) {
-      force_snapshot_pending_ = true;
-    } else if (!durability_.snapshot_now(graph_, cumulative_)) {
-      throw Error(ErrorCode::kSnapshotWrite,
-                  "registry change needs a snapshot and the write failed");
-    }
-  }
+void MultiQueryEngine::persist_registry() {
+  if (registry_path_.empty()) return;
   registry_.set_aggregate(cumulative_);
   io::atomic_write_file(registry_path_, registry_.encode(),
                         options_.durability.fsync, faults_);
 }
 
 bool MultiQueryEngine::write_registry_image() {
-  if (registry_path_.empty()) return false;
-  registry_.set_aggregate(cumulative_);
   try {
-    io::atomic_write_file(registry_path_, registry_.encode(),
-                          options_.durability.fsync, faults_);
+    persist_registry();
     return true;
   } catch (const CrashError&) {
     throw;
@@ -345,7 +328,7 @@ QueryId MultiQueryEngine::register_query(QueryGraph query, MatchSink sink,
   try {
     states_.push_back(make_state(*registry_.find(id)));
     states_.back()->sink = std::move(sink);
-    persist_registry(/*allow_defer=*/true);
+    persist_registry();
   } catch (...) {
     if (!states_.empty() && states_.back()->id == id) states_.pop_back();
     registry_.remove(id);
@@ -368,7 +351,7 @@ bool MultiQueryEngine::unregister_query(QueryId id) {
     }
   }
   try {
-    persist_registry(/*allow_defer=*/false);
+    persist_registry();
   } catch (...) {
     registry_.restore(std::move(saved));
     auto it = states_.begin();
@@ -655,8 +638,8 @@ bool MultiQueryEngine::replay_missed_batches(QueryState& qs,
 
   // Shadow base: the latest snapshot, but only when it does not overshoot
   // the frozen position (a snapshot past the position has already folded
-  // batches this query still needs to MATCH — snapshot deferral makes that
-  // rare, but an unregistration's forced compaction can cause it).
+  // batches this query still needs to MATCH). Snapshot deferral keeps the
+  // interval snapshot behind every exact debt, so this is a guard.
   const FaultSuspendGuard suspend(faults_);
   DynamicGraph shadow(initial_);
   std::uint64_t shadow_seq = 0;
@@ -712,7 +695,7 @@ std::uint64_t MultiQueryEngine::log_shed_batch(const std::string& payload) {
 
 ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
                                                         PipelineCtx* ctx) {
-  if (registry_.empty()) {
+  if (registry_.empty() && !replay_graph_only_) {
     throw Error(ErrorCode::kConfig,
                 "no query registered; register_query before process_batch");
   }
@@ -1182,7 +1165,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
 }
 
 bool MultiQueryEngine::checkpoint_due() {
-  if (!force_snapshot_pending_ && !durability_.snapshot_due()) return false;
+  if (!durability_.snapshot_due()) return false;
   if (!any_exact_catchup_debt()) return true;
   // Deferred: the WAL must keep the batches a quarantined query still owes.
   metrics::Registry::global()
@@ -1196,10 +1179,7 @@ void MultiQueryEngine::checkpoint() {
   // The snapshot is attempted only when the image write succeeded — a
   // snapshot past a stale image would advance the graph beyond per-query
   // counters the image can still account for.
-  if (write_registry_image() &&
-      durability_.snapshot_now(graph_, cumulative_)) {
-    force_snapshot_pending_ = false;
-  }
+  if (write_registry_image()) durability_.maybe_snapshot(graph_, cumulative_);
 }
 
 void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,

@@ -156,11 +156,10 @@ class MultiQueryEngine {
 
   // Registers a standing query. `sink` (optional) receives this query's
   // embeddings; `weight` is its share in cache arbitration. With durability
-  // on, the change is persisted before returning. When batches were
-  // committed since the last snapshot, the change forces a snapshot + WAL
-  // compaction — unless a quarantined query still owes exact catch-up debt,
-  // in which case the compaction is deferred until the first debt-free
-  // commit (the image's per-query positions keep replay correct meanwhile).
+  // on, the registry image is rewritten before returning; no snapshot is
+  // taken (snapshots follow snapshot_interval only). The query is anchored
+  // at the current position, so recovery never replays an earlier batch
+  // into it.
   QueryId register_query(QueryGraph query, MatchSink sink = {},
                          double weight = 1.0);
   // Unregisters; false when unknown. Durable like register_query. Legal on
@@ -271,30 +270,30 @@ class MultiQueryEngine {
   std::uint64_t current_position() const;
   // Recomputes the breaker gauges (quarantined count, summed debt).
   void refresh_breaker_gauges() const;
-  // Persists the registry image; with committed batches outstanding, forces
-  // the snapshot + compaction first. A registration (`allow_defer`) defers
-  // that compaction while exact catch-up debt is owed — the image's
-  // per-query positions keep replay correct meanwhile; an unregistration
-  // never defers, because the removed query's contributions are baked into
-  // the commit markers and the WAL prefix must be compacted away. Throws on
-  // failure (the in-memory mutation is rolled back by the caller).
-  void persist_registry(bool allow_defer);
-  // Post-commit image rewrite: best-effort. Swallows non-crash failures
-  // with a warning and returns false — correctness never depends on image
-  // freshness (recovery replays from the last good image), but a snapshot
-  // must NOT be written after a failed image write (the image's per-query
-  // anchor would fall behind the snapshot's graph). CrashError escapes.
+  // Writes the registry image: per-query health, counters and positions,
+  // and the aggregate anchor at the current counters. Throws on failure
+  // (the in-memory mutation is rolled back by the caller). No snapshot is
+  // needed: recovery replays batches at or below the anchor graph-only, so
+  // a removed query's past contributions stay counted, and a query's
+  // position keeps earlier batches from replaying into it.
+  void persist_registry();
+  // Post-commit image rewrite: persist_registry, best-effort. Swallows
+  // non-crash failures with a warning and returns false — correctness never
+  // depends on image freshness (recovery replays from the last good image),
+  // but a snapshot must NOT be written after a failed image write (the
+  // image's per-query anchor would fall behind the snapshot's graph).
+  // CrashError escapes.
   bool write_registry_image();
   // Any quarantined query still owed an exact (non-overflowed) catch-up —
   // while true, snapshot compaction is deferred so the WAL keeps the debt.
   bool any_exact_catchup_debt() const;
   // The one due-check of step 4, on both schedules: a snapshot is due when
-  // the interval elapsed or a registry change forced one. A due snapshot
-  // that catch-up debt defers is counted (server.catchup.deferred_snapshots)
-  // and reported as not due.
+  // snapshot_interval commits have landed. A due snapshot that catch-up
+  // debt defers is counted (server.catchup.deferred_snapshots) and reported
+  // as not due.
   bool checkpoint_due();
-  // The one snapshot step: rewrites the registry image, then snapshots and
-  // compacts the WAL, clearing a forced snapshot once one is written.
+  // The one snapshot step: rewrites the registry image, then takes the
+  // interval snapshot and compacts the WAL.
   void checkpoint();
   // Phase 2 alone: the one cache step over the CURRENT graph, with the
   // kMatch queries' weighted walks. Pure reads plus per-query estimator/RNG
@@ -370,9 +369,6 @@ class MultiQueryEngine {
   // matching, no counter advance).
   std::uint64_t replay_seq_ = 0;
   bool replay_graph_only_ = false;
-  // A registry change happened while catch-up debt deferred its snapshot;
-  // the snapshot fires at the first debt-free commit.
-  bool force_snapshot_pending_ = false;
   BudgetLadder budget_{options_.cache_budget_bytes, options_.recovery};
   // Overload degradation: multiplies every per-query walk count in the
   // shared estimate (1.0 = no degradation; see set_walk_scale).

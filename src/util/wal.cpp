@@ -58,6 +58,13 @@ Writer::Writer(std::string path, bool sync, FaultInjector* faults)
     throw Error(ErrorCode::kIoOpen,
                 "cannot open WAL " + path_ + ": " + errno_text());
   }
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    const std::string why = errno_text();
+    ::close(fd_);
+    throw Error(ErrorCode::kIoOpen, "cannot stat WAL " + path_ + ": " + why);
+  }
+  size_ = static_cast<std::uint64_t>(st.st_size);
 }
 
 Writer::~Writer() {
@@ -87,6 +94,7 @@ void Writer::append(RecordType type, std::uint64_t seq,
   }
   write_all(fd_, rec.data(), rec.size(), path_);
   bytes_appended_ += rec.size();
+  size_ += rec.size();
   dirty_ = true;
   m_records.add();
   m_bytes.add(rec.size());
@@ -117,9 +125,9 @@ void Writer::sync() {
   m_fsyncs.add();
 }
 
-void Writer::reset() {
+void Writer::truncate(std::uint64_t size) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (::ftruncate(fd_, 0) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     throw Error(ErrorCode::kWalWrite,
                 "cannot truncate WAL " + path_ + ": " + errno_text());
   }
@@ -127,6 +135,7 @@ void Writer::reset() {
     throw Error(ErrorCode::kWalWrite,
                 "cannot fsync WAL " + path_ + ": " + errno_text());
   }
+  size_ = size;
   dirty_ = false;
 }
 

@@ -74,7 +74,7 @@ struct Record {
 std::string encode_record(RecordType type, std::uint64_t seq,
                           std::string_view payload);
 
-// Thread-safe: append/sync/reset serialize on an internal mutex, so a
+// Thread-safe: append/sync/truncate serialize on an internal mutex, so a
 // group-commit committer thread can fsync earlier records while the batch
 // thread appends the next ones (docs/ROBUSTNESS.md, "Group commit").
 class Writer {
@@ -94,11 +94,18 @@ class Writer {
   // Flushes appended records to stable storage. Probes wal.fsync.
   void sync();
 
-  // Truncates the log to zero length (snapshot compaction dropped the whole
-  // prefix) and syncs the truncation.
-  void reset();
+  // Truncates the log to `size` bytes and syncs the truncation: 0 when a
+  // snapshot compaction dropped the whole prefix, the length before a
+  // failed commit when its records must not replay.
+  void truncate(std::uint64_t size);
 
   const std::string& path() const { return path_; }
+  // The log's length: its size at open, plus every whole record appended
+  // since, as cut back by truncate().
+  std::uint64_t size() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return size_;
+  }
   std::uint64_t bytes_appended() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return bytes_appended_;
@@ -110,8 +117,9 @@ class Writer {
   bool sync_enabled_;
   bool dirty_ = false;
   std::uint64_t bytes_appended_ = 0;
+  std::uint64_t size_ = 0;
   FaultInjector* faults_;
-  mutable std::mutex mu_;  // serializes append/sync/reset across threads
+  mutable std::mutex mu_;  // serializes append/sync/truncate across threads
 };
 
 struct ReadResult {

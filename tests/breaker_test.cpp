@@ -492,21 +492,20 @@ TEST(Breaker, AttachSinkAndUnregisterOnQuarantinedId) {
   EXPECT_NO_THROW(engine.attach_sink(
       poison, [](const MatchPlan&, std::span<const VertexId>, int) {}));
 
-  // unregister on a quarantined id is legal and ALWAYS compacts: the
-  // removed query's contributions are baked into the commit markers, so
-  // the old WAL prefix must never replay without it.
+  // unregister on a quarantined id is legal and takes no snapshot: the
+  // removed query's contributions are in the image's aggregate anchor, so
+  // the batches at or below it replay graph-only.
   EXPECT_TRUE(engine.unregister_query(poison));
   std::string why;
-  const auto snap =
-      durable::load_snapshot_file(dir + "/graph.snap", &why);
-  ASSERT_TRUE(snap.has_value()) << why;
-  EXPECT_EQ(snap->counters.batches_committed, 2u);
+  EXPECT_FALSE(durable::load_snapshot_file(dir + "/graph.snap", &why)
+                   .has_value())
+      << "unregister took a snapshot outside snapshot_interval";
 
   const ServerBatchReport out = engine.process_batch(f.stream.batches[2]);
   EXPECT_EQ(out.queries.size(), 1u);
   EXPECT_EQ(out.queries[0].id, tri);
 
-  // Restart: recovery replays only post-compaction batches and converges.
+  // Restart: recovery replays the WAL past the anchor and converges.
   MultiQueryOptions ropt = opt;
   ropt.fault_injector = nullptr;
   MultiQueryEngine recovered(f.stream.initial, ropt);
@@ -516,9 +515,10 @@ TEST(Breaker, AttachSinkAndUnregisterOnQuarantinedId) {
   EXPECT_EQ(recovered.registry().entries().size(), 1u);
 }
 
-// Registering while a quarantined query owes exact catch-up debt defers
-// the forced snapshot; the compaction fires at the first debt-free commit.
-TEST(Breaker, RegisterDuringDebtDefersCompactionUntilDrained) {
+// While a quarantined query owes exact catch-up debt, every due interval
+// snapshot is deferred, and a registration mid-debt takes none either; the
+// interval snapshot fires at the first debt-free commit.
+TEST(Breaker, DebtDefersIntervalSnapshotAcrossRegistration) {
   const StreamFixture f(28);
   const std::string dir = fresh_dir("defer");
   FaultInjector inj(0xDEF0);
@@ -545,7 +545,7 @@ TEST(Breaker, RegisterDuringDebtDefersCompactionUntilDrained) {
                    .has_value())
       << "snapshot was not deferred while catch-up debt is owed";
 
-  // Register mid-debt: the forced compaction is deferred too.
+  // Register mid-debt: the registration rewrites the image only.
   const QueryId late = engine.register_query(make_fig1_diamond());
   EXPECT_FALSE(durable::load_snapshot_file(dir + "/graph.snap", &why)
                    .has_value())
@@ -561,7 +561,7 @@ TEST(Breaker, RegisterDuringDebtDefersCompactionUntilDrained) {
             3u);
 
   // Probe passes, exact catch-up drains the debt, and the same commit's
-  // tail fires the deferred registration snapshot.
+  // tail takes the deferred interval snapshot.
   const ServerBatchReport out = engine.process_batch(f.stream.batches[3]);
   bool rejoined = false;
   for (const auto& q : out.queries) rejoined = rejoined || q.rejoined;

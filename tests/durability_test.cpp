@@ -558,6 +558,31 @@ TEST(Durability, TransientWalFaultsAreRetriedInternally) {
   expect_counts(p.cumulative(), baseline_counters(fx, query, 4));
 }
 
+// A commit whose fsync fails for good reports the batch as failed, so the
+// client re-submits it under a new seq. The failed commit's marker must not
+// stay in the log, or recovery would replay the batch twice.
+TEST(Durability, FailedCommitFsyncLeavesNoMarkerToReplay) {
+  StreamFixture fx(30);
+  const QueryGraph query = make_triangle();
+  const std::string dir = fresh_dir("commitfsync");
+  FaultInjector inj(43);
+  // Hit 1 is batch 0's record fsync, hit 2 its commit's fsync.
+  inj.arm(fault_site::kWalFsync, {0.0, 2});
+  PipelineOptions opt = durable_options(dir, &inj);
+  opt.durability.max_write_attempts = 1;
+  opt.durability.snapshot_interval = 0;
+  {
+    Pipeline p(fx.stream.initial, query, opt);
+    EXPECT_THROW(p.process_batch(fx.stream.batches[0]), Error);
+    EXPECT_EQ(p.cumulative().batches_committed, 0U);
+    for (std::size_t k = 0; k < 3; ++k) p.process_batch(fx.stream.batches[k]);
+  }
+  opt.fault_injector = nullptr;
+  const Pipeline p(fx.stream.initial, query, opt);
+  EXPECT_EQ(p.recovery_info().replay.size(), 3U);
+  expect_counts(p.cumulative(), baseline_counters(fx, query, 3));
+}
+
 // ---------------------------------------------------------------------------
 // Group commit (multi-query process_stream; docs/ROBUSTNESS.md, "Group
 // commit"): batch records are appended by the engine thread, commit markers
