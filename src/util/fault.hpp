@@ -73,8 +73,9 @@ inline constexpr std::array<const char*, 12> kAllFaultSites = {
 struct FaultSpec {
   double probability = 0.0;   // chance of firing at each hit
   std::uint64_t nth_hit = 0;  // fire on exactly this hit (1-based); 0 = off
-  // crash.at only: how many bytes of the write in progress reach the file
-  // before the crash (0 = the write never starts).
+  // crash.at and wal.write only: how many bytes of the write in progress
+  // reach the file before the crash (crash.at) or before the append is
+  // refused (wal.write); 0 = the write never starts.
   std::uint64_t crash_at_byte = 0;
   // Keyed sites only (match.query, probed via fires_for with the QueryId):
   // 0 admits every key; any other value poisons exactly that key. Hits that

@@ -77,10 +77,17 @@ void Writer::append(RecordType type, std::uint64_t seq,
   static auto& m_bytes = metrics::Registry::global().counter(metric::kWalBytes);
   const std::string rec = encode_record(type, seq, payload);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (faults_ != nullptr && faults_->fires(fault_site::kWalWrite)) {
-    // Fires before any byte reaches the file, so a retry simply re-appends.
-    throw Error(ErrorCode::kWalWrite,
-                "injected fault: WAL append refused (" + path_ + ")");
+  if (faults_ != nullptr) {
+    if (const auto spec = faults_->fires_spec(fault_site::kWalWrite)) {
+      // A write(2) that fails part-way: crash_at_byte bytes of the record
+      // reach the file before the refusal.
+      const std::size_t torn =
+          std::min<std::size_t>(spec->crash_at_byte, rec.size());
+      write_all(fd_, rec.data(), torn, path_);
+      throw Error(ErrorCode::kWalWrite,
+                  "injected fault: WAL append refused after " +
+                      std::to_string(torn) + " bytes (" + path_ + ")");
+    }
   }
   if (faults_ != nullptr) {
     if (const auto spec = faults_->fires_spec(fault_site::kCrashAt)) {

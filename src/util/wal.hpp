@@ -19,10 +19,10 @@
 // intact by construction. Recovery truncates the damaged tail (with a
 // logged warning) instead of refusing to start.
 //
-// Fault sites (util/fault.hpp): `wal.write` fires before a record write
-// (nothing reaches the file — safe to retry), `wal.fsync` fires before the
-// fsync, and `crash.at` tears the write at FaultSpec::crash_at_byte and
-// throws CrashError.
+// Fault sites (util/fault.hpp): `wal.write` refuses a record write after
+// FaultSpec::crash_at_byte of its bytes reached the file (none by default),
+// `wal.fsync` fires before the fsync, and `crash.at` tears the write at
+// FaultSpec::crash_at_byte and throws CrashError.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +87,8 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  // Appends one record. Probes wal.write (transient Error, nothing written)
-  // and crash.at (torn write + CrashError) before/while touching the file.
+  // Appends one record. Probes wal.write (a write that fails part-way:
+  // transient Error) and crash.at (torn write + CrashError).
   void append(RecordType type, std::uint64_t seq, std::string_view payload);
 
   // Flushes appended records to stable storage. Probes wal.fsync.

@@ -583,6 +583,34 @@ TEST(Durability, FailedCommitFsyncLeavesNoMarkerToReplay) {
   expect_counts(p.cumulative(), baseline_counters(fx, query, 3));
 }
 
+// An append that fails part-way leaves a torn prefix of its record in the
+// log. The retry must not append the whole record after those bytes:
+// recovery stops at the first torn record and would drop every later one,
+// commit markers included.
+TEST(Durability, PartialWalAppendIsCutBeforeTheRetry) {
+  StreamFixture fx(32);
+  const QueryGraph query = make_triangle();
+  const std::string dir = fresh_dir("partial");
+  FaultInjector inj(44);
+  // Hit 3 is batch 1's record (hits 1 and 2 are batch 0's record and
+  // marker); 11 of its bytes reach the file before the refusal.
+  inj.arm(fault_site::kWalWrite, {0.0, 3, 11});
+  PipelineOptions opt = durable_options(dir, &inj);
+  opt.durability.snapshot_interval = 0;  // no compaction hides the tear
+  {
+    Pipeline p(fx.stream.initial, query, opt);
+    for (std::size_t k = 0; k < 4; ++k) p.process_batch(fx.stream.batches[k]);
+  }
+  ASSERT_EQ(inj.fired_count(), 1U);
+  opt.fault_injector = nullptr;
+  const Pipeline p(fx.stream.initial, query, opt);
+  EXPECT_FALSE(p.recovery_info().wal_tail_truncated);
+  EXPECT_EQ(p.recovery_info().replay.size(), 4U);
+  std::vector<Edge> edges;
+  expect_counts(p.cumulative(), baseline_counters(fx, query, 4, &edges));
+  EXPECT_EQ(p.graph().to_csr().edge_list(), edges);
+}
+
 // ---------------------------------------------------------------------------
 // Group commit (multi-query process_stream; docs/ROBUSTNESS.md, "Group
 // commit"): batch records are appended by the engine thread, commit markers
