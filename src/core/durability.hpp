@@ -201,8 +201,9 @@ class DurabilityManager {
   void ensure_writer();
   // The one bounded retry of WAL and snapshot writes: re-runs `write` after
   // a transient Error, up to max_write_attempts runs in all, then rethrows.
-  // A CrashError always escapes. A WAL append that throws has written
-  // nothing, so running it again cannot duplicate the record.
+  // A CrashError always escapes. A WAL append that throws a transient Error
+  // has cut the log back to its last whole record (wal::Writer::append), so
+  // running it again appends the record once, after whole records only.
   void retry_write(const std::function<void()>& write) const;
   // Appends one record under the next sequence number and fsyncs it.
   std::uint64_t log_record(wal::RecordType type, const std::string& payload);

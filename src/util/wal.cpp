@@ -19,6 +19,13 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
+// Cuts the file to `size` bytes and, when `sync`, makes the cut durable.
+// False (errno set) when either step fails.
+bool cut_file(int fd, std::uint64_t size, bool sync) {
+  return ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
+         (!sync || ::fsync(fd) == 0);
+}
+
 void write_all(int fd, const char* data, std::size_t len,
                const std::string& path) {
   while (len > 0) {
@@ -77,29 +84,48 @@ void Writer::append(RecordType type, std::uint64_t seq,
   static auto& m_bytes = metrics::Registry::global().counter(metric::kWalBytes);
   const std::string rec = encode_record(type, seq, payload);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (faults_ != nullptr) {
-    if (const auto spec = faults_->fires_spec(fault_site::kWalWrite)) {
-      // A write(2) that fails part-way: crash_at_byte bytes of the record
-      // reach the file before the refusal.
-      const std::size_t torn =
-          std::min<std::size_t>(spec->crash_at_byte, rec.size());
-      write_all(fd_, rec.data(), torn, path_);
-      throw Error(ErrorCode::kWalWrite,
-                  "injected fault: WAL append refused after " +
-                      std::to_string(torn) + " bytes (" + path_ + ")");
-    }
+  if (torn_tail_) {
+    throw Error(ErrorCode::kIoOpen, "WAL " + path_ +
+                                        " ends in torn bytes it could not "
+                                        "cut; recover before appending");
   }
-  if (faults_ != nullptr) {
-    if (const auto spec = faults_->fires_spec(fault_site::kCrashAt)) {
-      const std::size_t torn =
-          std::min<std::size_t>(spec->crash_at_byte, rec.size());
-      write_all(fd_, rec.data(), torn, path_);
-      throw CrashError("injected crash: WAL append of seq " +
-                       std::to_string(seq) + " torn at byte " +
-                       std::to_string(torn));
+  try {
+    if (faults_ != nullptr) {
+      if (const auto spec = faults_->fires_spec(fault_site::kWalWrite)) {
+        // A write(2) that fails part-way: crash_at_byte bytes of the record
+        // reach the file before the refusal.
+        const std::size_t torn =
+            std::min<std::size_t>(spec->crash_at_byte, rec.size());
+        write_all(fd_, rec.data(), torn, path_);
+        throw Error(ErrorCode::kWalWrite,
+                    "injected fault: WAL append refused after " +
+                        std::to_string(torn) + " bytes (" + path_ + ")");
+      }
+      if (const auto spec = faults_->fires_spec(fault_site::kCrashAt)) {
+        const std::size_t torn =
+            std::min<std::size_t>(spec->crash_at_byte, rec.size());
+        write_all(fd_, rec.data(), torn, path_);
+        throw CrashError("injected crash: WAL append of seq " +
+                         std::to_string(seq) + " torn at byte " +
+                         std::to_string(torn));
+      }
     }
+    write_all(fd_, rec.data(), rec.size(), path_);
+  } catch (const CrashError&) {
+    throw;  // the process is dead; recovery repairs the torn tail
+  } catch (const Error&) {
+    // The failed write may have left a prefix of the record. Cut the log
+    // back to its last whole record, so that a retry appends right after
+    // it; a log that cannot be cut takes no more appends.
+    if (!cut_file(fd_, size_, sync_enabled_)) {
+      torn_tail_ = true;
+      throw Error(ErrorCode::kIoOpen,
+                  "cannot cut WAL " + path_ + " back to " +
+                      std::to_string(size_) +
+                      " bytes after a failed append: " + errno_text());
+    }
+    throw;
   }
-  write_all(fd_, rec.data(), rec.size(), path_);
   bytes_appended_ += rec.size();
   size_ += rec.size();
   dirty_ = true;
@@ -134,13 +160,9 @@ void Writer::sync() {
 
 void Writer::truncate(std::uint64_t size) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+  if (!cut_file(fd_, size, sync_enabled_)) {
     throw Error(ErrorCode::kWalWrite,
                 "cannot truncate WAL " + path_ + ": " + errno_text());
-  }
-  if (sync_enabled_ && ::fsync(fd_) != 0) {
-    throw Error(ErrorCode::kWalWrite,
-                "cannot fsync WAL " + path_ + ": " + errno_text());
   }
   size_ = size;
   dirty_ = false;

@@ -20,9 +20,10 @@
 // logged warning) instead of refusing to start.
 //
 // Fault sites (util/fault.hpp): `wal.write` refuses a record write after
-// FaultSpec::crash_at_byte of its bytes reached the file (none by default),
-// `wal.fsync` fires before the fsync, and `crash.at` tears the write at
-// FaultSpec::crash_at_byte and throws CrashError.
+// FaultSpec::crash_at_byte of its bytes reached the file (none by default;
+// the writer cuts them, so a retry is safe), `wal.fsync` fires before the
+// fsync, and `crash.at` tears the write at FaultSpec::crash_at_byte and
+// throws CrashError.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +89,10 @@ class Writer {
   Writer& operator=(const Writer&) = delete;
 
   // Appends one record. Probes wal.write (a write that fails part-way:
-  // transient Error) and crash.at (torn write + CrashError).
+  // transient Error) and crash.at (torn write + CrashError). Before an Error
+  // other than CrashError leaves, the log is cut back to size(), so a retry
+  // never appends after torn bytes. When that cut fails, a non-transient
+  // Error leaves instead, and every later append throws it too.
   void append(RecordType type, std::uint64_t seq, std::string_view payload);
 
   // Flushes appended records to stable storage. Probes wal.fsync.
@@ -118,6 +122,7 @@ class Writer {
   bool dirty_ = false;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t size_ = 0;
+  bool torn_tail_ = false;  // a failed append's bytes could not be cut
   FaultInjector* faults_;
   mutable std::mutex mu_;  // serializes append/sync/truncate across threads
 };
