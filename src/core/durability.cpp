@@ -32,15 +32,6 @@ DurabilityManager::DurabilityManager(DurabilityOptions options,
   snapshot_path_ = options_.wal_dir + "/graph.snap";
 }
 
-DurabilityManager::~DurabilityManager() {
-  {
-    const std::lock_guard<std::mutex> lock(commit_mu_);
-    committer_stop_ = true;
-  }
-  commit_cv_.notify_all();
-  if (committer_.joinable()) committer_.join();
-}
-
 void DurabilityManager::ensure_writer() {
   if (writer_ == nullptr) {
     writer_ = std::make_unique<wal::Writer>(wal_path_, options_.fsync, faults_);
@@ -177,108 +168,18 @@ std::uint64_t DurabilityManager::log_record(wal::RecordType type,
   return seq;
 }
 
-void DurabilityManager::write_commits(std::span<const CommitUnit> units) {
-  ensure_writer();
-  // Serial record order per batch: its server-state transitions land before
-  // its commit marker. One fsync covers every unit — for the committer,
-  // that is the entire point of coalescing.
-  for (const CommitUnit& unit : units) {
-    for (const std::string& payload : unit.server_states) {
-      retry_write([&] {
-        writer_->append(wal::RecordType::kServerState, unit.seq, payload);
-      });
-    }
-    const std::string marker = durable::encode_counters(unit.counters);
-    retry_write(
-        [&] { writer_->append(wal::RecordType::kCommit, unit.seq, marker); });
+void DurabilityManager::write_commits(const CommitUnit& unit) {
+  // The batch's server-state transitions land before its commit marker, and
+  // one fsync covers them all.
+  for (const std::string& payload : unit.server_states) {
+    retry_write([&] {
+      writer_->append(wal::RecordType::kServerState, unit.seq, payload);
+    });
   }
+  const std::string marker = durable::encode_counters(unit.counters);
+  retry_write(
+      [&] { writer_->append(wal::RecordType::kCommit, unit.seq, marker); });
   retry_write([&] { writer_->sync(); });
-}
-
-void DurabilityManager::committer_loop() {
-  static auto& m_groups =
-      metrics::Registry::global().counter(metric::kWalGroupCommitGroups);
-  static auto& m_batches =
-      metrics::Registry::global().counter(metric::kWalGroupCommitBatches);
-  static auto& h_size =
-      metrics::Registry::global().histogram(metric::kWalGroupCommitSize);
-  const std::uint64_t window = std::max<std::uint64_t>(
-      1, options_.group_commit_batches);
-  for (;;) {
-    std::vector<CommitUnit> group;
-    {
-      std::unique_lock<std::mutex> lock(commit_mu_);
-      commit_cv_.wait(lock,
-                      [&] { return committer_stop_ || !commit_queue_.empty(); });
-      // Stop discards queued units (crash-equivalent; see ~DurabilityManager).
-      if (committer_stop_) return;
-      while (!commit_queue_.empty() && group.size() < window) {
-        group.push_back(std::move(commit_queue_.front()));
-        commit_queue_.pop_front();
-      }
-    }
-    try {
-      write_commits(group);
-    } catch (...) {
-      // Sticky failure: everything at or beyond the first non-durable seq is
-      // crash-equivalent. Waiters rethrow; the thread exits.
-      const std::lock_guard<std::mutex> lock(commit_mu_);
-      committer_error_ = std::current_exception();
-      durable_cv_.notify_all();
-      return;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(commit_mu_);
-      durable_seq_ = group.back().seq;
-    }
-    durable_cv_.notify_all();
-    m_groups.add();
-    m_batches.add(group.size());
-    h_size.observe(static_cast<double>(group.size()));
-  }
-}
-
-void DurabilityManager::enqueue_commit(CommitUnit unit) {
-  {
-    const std::lock_guard<std::mutex> lock(commit_mu_);
-    if (committer_error_ != nullptr) std::rethrow_exception(committer_error_);
-    enqueued_seq_ = unit.seq;
-    commit_queue_.push_back(std::move(unit));
-    if (!committer_.joinable()) {
-      committer_ = std::thread([this] { committer_loop(); });
-    }
-  }
-  commit_cv_.notify_one();
-  // The snapshot cadence counts ENQUEUED commits: the engine consults it
-  // only at drain points, where enqueued == durable.
-  ++commits_since_snapshot_;
-}
-
-std::uint64_t DurabilityManager::durable_seq() const {
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  return durable_seq_;
-}
-
-void DurabilityManager::wait_durable(std::uint64_t seq) {
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  durable_cv_.wait(lock, [&] {
-    return durable_seq_ >= seq || committer_error_ != nullptr;
-  });
-  if (durable_seq_ >= seq) return;
-  std::rethrow_exception(committer_error_);
-}
-
-void DurabilityManager::drain() {
-  std::uint64_t target = 0;
-  {
-    const std::lock_guard<std::mutex> lock(commit_mu_);
-    if (!committer_.joinable()) {
-      if (committer_error_ != nullptr) std::rethrow_exception(committer_error_);
-      return;
-    }
-    target = enqueued_seq_;
-  }
-  wait_durable(target);
 }
 
 std::uint64_t DurabilityManager::begin_batch(const EdgeBatch& batch) {
@@ -289,7 +190,7 @@ void DurabilityManager::commit_batch(const CommitUnit& unit) {
   ensure_writer();
   const std::uint64_t before = writer_->size();
   try {
-    write_commits({&unit, 1});
+    write_commits(unit);
   } catch (const CrashError&) {
     throw;
   } catch (const Error&) {

@@ -6,12 +6,11 @@
 //      kBatch record and fsynced BEFORE the graph is touched;
 //   2. the engine applies and matches the batch (its own transactional
 //      rollback handles in-flight failures);
-//   3. the batch's commit unit — its server-state transitions, then a
-//      kCommit marker carrying the cumulative durable counters — is appended
-//      and fsynced once AFTER the report is produced, synchronously
-//      (commit_batch) or by the group committer (enqueue_commit); both write
-//      through one routine, and commit_transaction (core/recovery.hpp) is
-//      the one caller;
+//   3. commit_batch — the batch's commit unit (its server-state
+//      transitions, then a kCommit marker carrying the cumulative durable
+//      counters) is appended and fsynced once on the caller's thread, AFTER
+//      the report is produced and before it is returned; commit_transaction
+//      (core/recovery.hpp) is the one caller;
 //   4. maybe_snapshot — every snapshot_interval commits, a full graph
 //      snapshot is written atomically and the WAL prefix is compacted
 //      (truncated to zero: every logged record is now covered).
@@ -28,17 +27,11 @@
 // integrity check: replay must reproduce them exactly.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,12 +56,6 @@ struct DurabilityOptions {
   // Bounded internal retries for transient WAL/snapshot write faults, per
   // append, per fsync and per snapshot write.
   int max_write_attempts = 3;
-  // Group commit (pipelined schedule only): commit units handed to
-  // enqueue_commit are fsynced by a dedicated committer thread that
-  // coalesces up to this many batches per fsync. The synchronous
-  // commit_batch path ignores it. 1 = one fsync per commit (no coalescing,
-  // still asynchronous).
-  std::uint64_t group_commit_batches = 1;
 
   bool enabled() const { return !wal_dir.empty(); }
 };
@@ -117,11 +104,6 @@ class DurabilityManager {
   // Creates wal_dir if needed. The injector is non-owning (nullptr =
   // disarmed) and must outlive the manager.
   DurabilityManager(DurabilityOptions options, FaultInjector* faults);
-  // Stops and joins the committer thread. Units still queued are DISCARDED
-  // (never swallowed silently into the log): destruction without a prior
-  // drain() is crash-equivalent, and recovery re-exposes the uncommitted
-  // tail exactly as it would after a real kill.
-  ~DurabilityManager();
 
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
@@ -139,32 +121,12 @@ class DurabilityManager {
   // to max_write_attempts; CrashError always escapes.
   std::uint64_t begin_batch(const EdgeBatch& batch);
 
-  // Step 3, synchronously: appends the unit's server-state records, then its
-  // commit marker, and fsyncs once. Same retry contract as begin_batch.
-  // When a non-crash Error escapes, the log is first truncated back to its
-  // length before the unit: the caller rolls the batch back and the client
+  // Step 3: appends the unit's server-state records, then its commit
+  // marker, and fsyncs once. Same retry contract as begin_batch. When a
+  // non-crash Error escapes, the log is first truncated back to its length
+  // before the unit: the caller rolls the batch back and the client
   // re-submits it under a new seq, so no record of this unit may replay.
   void commit_batch(const CommitUnit& unit);
-
-  // Step 3 through group commit (docs/ROBUSTNESS.md, "Group commit"): hands
-  // the unit to the committer thread and returns immediately. The committer
-  // writes each group of up to group_commit_batches units exactly as
-  // commit_batch writes one, with one fsync per group. The batch is
-  // durable — and its report may be surfaced — only once durable_seq()
-  // reaches its seq. A committer failure is sticky: it is rethrown
-  // (CrashError included) from the next enqueue_commit()/drain(). The
-  // committer thread starts lazily on the first enqueue.
-  void enqueue_commit(CommitUnit unit);
-
-  // Highest seq whose commit marker has durably landed via the committer.
-  std::uint64_t durable_seq() const;
-
-  // Blocks until every enqueued unit is durable; rethrows a committer
-  // failure. MUST be called before maybe_snapshot or committed_batches
-  // while group commit is in flight: compaction truncates the whole log,
-  // which is only sound once every queued marker has landed. No-op when
-  // the committer was never started.
-  void drain();
 
   // Durably logs a kShed audit record (admission control dropped a batch
   // under overload) and returns the sequence number it consumed. The seq is
@@ -182,8 +144,7 @@ class DurabilityManager {
   std::optional<std::vector<std::pair<std::uint64_t, EdgeBatch>>>
   committed_batches(std::uint64_t after, std::uint64_t upto) const;
 
-  // snapshot_interval commits since the last snapshot, counting enqueued
-  // ones: callers on the group-commit schedule drain() before snapshotting.
+  // snapshot_interval commits since the last snapshot.
   bool snapshot_due() const {
     return options_.snapshot_interval != 0 &&
            commits_since_snapshot_ >= options_.snapshot_interval;
@@ -207,12 +168,9 @@ class DurabilityManager {
   void retry_write(const std::function<void()>& write) const;
   // Appends one record under the next sequence number and fsyncs it.
   std::uint64_t log_record(wal::RecordType type, const std::string& payload);
-  // The one commit writer: each unit's server-state records, then its
+  // The one commit writer: the unit's server-state records, then its
   // marker, then one fsync for all of them.
-  void write_commits(std::span<const CommitUnit> units);
-  // Blocks until durable_seq() >= seq or the committer failed (rethrows).
-  void wait_durable(std::uint64_t seq);
-  void committer_loop();
+  void write_commits(const CommitUnit& unit);
 
   DurabilityOptions options_;
   std::string wal_path_;
@@ -221,19 +179,6 @@ class DurabilityManager {
   std::unique_ptr<wal::Writer> writer_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t commits_since_snapshot_ = 0;
-
-  // Group-commit state. commit_mu_ guards the queue, durable_seq_, the
-  // stored failure, and the stop flag; commit_cv_ wakes the committer,
-  // durable_cv_ wakes waiters in wait_durable/drain.
-  mutable std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  std::condition_variable durable_cv_;
-  std::deque<CommitUnit> commit_queue_;
-  std::uint64_t durable_seq_ = 0;
-  std::uint64_t enqueued_seq_ = 0;
-  std::exception_ptr committer_error_;
-  bool committer_stop_ = false;
-  std::thread committer_;
 };
 
 }  // namespace gcsm

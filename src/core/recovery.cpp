@@ -105,7 +105,7 @@ void commit_transaction(DurabilityManager& durability,
                         durable::DurableCounters& cumulative,
                         const MatchStats& delta, std::uint64_t wal_seq,
                         const std::function<void()>& rollback,
-                        std::vector<std::string> server_states, bool group) {
+                        std::vector<std::string> server_states) {
   durable::DurableCounters next = cumulative;
   next.batches_committed += 1;
   next.cum_signed += delta.signed_embeddings;
@@ -113,13 +113,8 @@ void commit_transaction(DurabilityManager& durability,
   next.cum_negative += delta.negative;
   if (wal_seq != 0) {
     next.last_seq = wal_seq;
-    CommitUnit unit{wal_seq, next, std::move(server_states)};
     try {
-      if (group) {
-        durability.enqueue_commit(std::move(unit));
-      } else {
-        durability.commit_batch(unit);
-      }
+      durability.commit_batch({wal_seq, next, std::move(server_states)});
     } catch (...) {
       rollback();
       throw;

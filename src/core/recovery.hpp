@@ -101,17 +101,16 @@ void run_transaction(RetryLadder& ladder, EngineKind kind, BatchReport& report,
 // Step 3 of the commit protocol: advances `cumulative` by one batch whose
 // embeddings changed by `delta`. A batch logged under `wal_seq` (0 = not
 // logged) first makes its commit unit durable — `server_states`, then the
-// marker carrying the advanced counters — synchronously, or through the
-// group committer when `group`. When that fails, the batch is rolled back
-// and the failure rethrown with `cumulative` unchanged: memory agrees with
-// disk and the client re-submits. (Sink callbacks already made cannot be
+// marker carrying the advanced counters — through
+// DurabilityManager::commit_batch. When that fails, the batch is rolled
+// back and the failure rethrown with `cumulative` unchanged: memory agrees
+// with disk and the client re-submits. (Sink callbacks already made cannot be
 // retracted — see docs/ROBUSTNESS.md.)
 void commit_transaction(DurabilityManager& durability,
                         durable::DurableCounters& cumulative,
                         const MatchStats& delta, std::uint64_t wal_seq,
                         const std::function<void()>& rollback,
-                        std::vector<std::string> server_states = {},
-                        bool group = false);
+                        std::vector<std::string> server_states = {});
 
 // Screens a batch against the engine's live graph, quarantining malformed
 // records (sanitize_batch, or the sharded engine's owner-answered twin).

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -34,9 +33,9 @@ QueryCounters to_query_counters(const MatchStats& s) {
 // schedule (process_stream); a null ctx means serial process_batch
 // semantics.
 struct MultiQueryEngine::PipelineCtx {
-  // One deferred sink callback: deliverable verbatim once the batch's
-  // commit durably lands. The plan pointer stays valid for the engine's
-  // lifetime (plans are owned by the query's MatchEngine).
+  // One deferred sink callback: delivered verbatim once the batch has
+  // committed. The plan pointer stays valid for the engine's lifetime
+  // (plans are owned by the query's MatchEngine).
   struct SinkRecord {
     const MatchPlan* plan = nullptr;
     std::vector<VertexId> bindings;
@@ -46,7 +45,7 @@ struct MultiQueryEngine::PipelineCtx {
   // The CPU front half of one batch, staged on the match pool while the
   // previous batch's fan-out is in flight: corruption screening and the
   // shared frequency estimation. The WAL append stays on the engine thread
-  // so snapshot compaction at drain points can never truncate a staged
+  // so the previous batch's snapshot compaction can never truncate a staged
   // batch record.
   struct Front {
     bool valid = false;
@@ -790,9 +789,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
 
   // Durable logging: ONE WAL record per batch regardless of query count.
   // Deliberately NOT staged on the pool: the append stays on the engine
-  // thread, after the previous batch's drain-point snapshot could have
-  // compacted the WAL — a staged append could be truncated away by that
-  // compaction while its commit marker survives.
+  // thread, after the previous batch's snapshot could have compacted the
+  // WAL — a staged append could be truncated away by that compaction while
+  // its commit marker survives.
   std::uint64_t wal_seq = 0;
   if (options_.durability.enabled() && !replaying_) {
     wal_seq = durability_.begin_batch(use);
@@ -825,9 +824,9 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // shared mutable state is thread-safe (metrics, traces, the injector).
   //
   // Pipelined extras: per-query sinks are swapped for deferred buffers
-  // (flushed by process_stream only once this batch's commit durably
-  // lands), and the NEXT batch's CPU front half rides the same pool as one
-  // more task — its sanitize + estimate overlap these matches.
+  // (flushed by process_stream once this batch has committed), and the
+  // NEXT batch's CPU front half rides the same pool as one more task — its
+  // sanitize + estimate overlap these matches.
   out.queries.resize(n);
   std::vector<MatchOutcome> outcomes(n);
   std::vector<MatchSink> wrapped;
@@ -936,18 +935,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   std::vector<StagedRejoin> rejoins;
   std::vector<std::size_t> rebase_idx;
   QueryCounters total_missed;
-  if (ctx != nullptr && !probe_passed_idx.empty() &&
-      options_.durability.enabled()) {
-    // Catch-up replay reads the WAL; every group-committed marker must land
-    // first or the debt window would look uncommitted. A committer failure
-    // is crash-equivalent and fails this batch.
-    try {
-      durability_.drain();
-    } catch (...) {
-      rollback();
-      throw;
-    }
-  }
   for (const std::size_t i : probe_passed_idx) {
     QueryState& qs = *states_[i];
     const QueryHealth& h = registry_.find(qs.id)->health;
@@ -1042,16 +1029,12 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // Commit ONE marker carrying the aggregate counters across queries —
   // quarantined tenants contribute nothing, re-joining ones contribute
   // their batch delta plus the folded catch-up correction, so the
-  // aggregate stays the sum of what every query durably observed. The
-  // pipelined schedule hands the unit to the group committer and advances
-  // in-memory state at once — crash-safe because nothing is SURFACED
-  // (reports, sinks) until durable_seq() reaches this batch, so a crash
-  // before the marker lands re-exposes exactly what recovery replays.
+  // aggregate stays the sum of what every query durably observed.
   MatchStats committed = shared.stats;
   committed += MatchStats{total_missed.signed_embeddings,
                           total_missed.positive, total_missed.negative, 0};
   commit_transaction(durability_, cumulative_, committed, wal_seq, rollback,
-                     std::move(transitions), ctx != nullptr);
+                     std::move(transitions));
   metrics_.record_batch(shared);
 
   // The batch is committed: apply the staged breaker effects. Position
@@ -1148,13 +1131,10 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     refresh_breaker_gauges();
   }
 
-  if (wal_seq != 0 && ctx == nullptr) {
-    // Durable tail (serial schedule only — the pipelined one defers both
-    // the image rewrite and the snapshot to its committer drain points,
-    // where the image's aggregate cannot run ahead of the durable markers
-    // and compaction cannot truncate an in-flight commit). The registry
-    // image (per-query health + counters + the aggregate anchor) is
-    // rewritten after EVERY commit.
+  if (wal_seq != 0) {
+    // Durable tail: the registry image (per-query health + counters + the
+    // aggregate anchor) is rewritten after EVERY commit, and the snapshot
+    // is taken when the interval is due.
     if (checkpoint_due()) {
       checkpoint();
     } else {
@@ -1186,40 +1166,10 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
                                       const BatchReportSink& on_batch) {
   auto& overlap_batches = metrics::Registry::global().counter(
       options_.metric_prefix + metric::kPipelineOverlapBatches);
-
-  // A finished batch parked until its commit marker durably lands.
-  struct Pending {
-    std::uint64_t seq = 0;
-    ServerBatchReport report;
-    std::vector<std::vector<PipelineCtx::SinkRecord>> buffers;
-  };
-  std::deque<Pending> pending;
-
-  // Surfaces (sinks first, then the report — the serial per-batch order)
-  // every pending batch whose commit is durable; `all` forces the rest out
-  // after a drain. With durability off nothing defers.
-  const bool durable_on = options_.durability.enabled();
-  auto surface_ready = [&](bool all) {
-    const std::uint64_t durable = durable_on ? durability_.durable_seq() : 0;
-    while (!pending.empty()) {
-      Pending& p = pending.front();
-      if (!all && durable_on && p.seq != 0 && p.seq > durable) break;
-      for (std::size_t i = 0; i < p.buffers.size() && i < states_.size();
-           ++i) {
-        const MatchSink& sink = states_[i]->sink;
-        if (!sink) continue;
-        for (const PipelineCtx::SinkRecord& r : p.buffers[i]) {
-          sink(*r.plan, std::span<const VertexId>(r.bindings), r.sign);
-        }
-      }
-      if (on_batch) on_batch(std::move(p.report));
-      pending.pop_front();
-    }
-  };
-
   PipelineCtx::Front fronts[2];
   PipelineCtx::Front* front = &fronts[0];
   PipelineCtx::Front* next_front = &fronts[1];
+  std::vector<std::vector<PipelineCtx::SinkRecord>> buffers;
 
   for (std::size_t k = 0; k < batches.size(); ++k) {
     PipelineCtx ctx;
@@ -1227,45 +1177,23 @@ void MultiQueryEngine::process_stream(const std::vector<EdgeBatch>& batches,
     ctx.next_batch = k + 1 < batches.size() ? &batches[k + 1] : nullptr;
     ctx.next_front = next_front;
     *next_front = PipelineCtx::Front{};
-    Pending p;
-    p.buffers.assign(states_.size(), {});
-    ctx.buffers = &p.buffers;
-    try {
-      p.report = process_batch_inner(batches[k], &ctx);
-    } catch (...) {
-      // The failed batch rolled back (or the committer died — crash-
-      // equivalent either way). Surface what already durably landed, drop
-      // the rest (recovery re-derives them from the WAL), and propagate.
-      try {
-        surface_ready(false);
-      } catch (...) {
-        // A throwing subscriber must not mask the original failure.
-      }
-      throw;
-    }
-    p.seq = p.report.shared.wal_seq;
-    pending.push_back(std::move(p));
+    buffers.assign(states_.size(), {});
+    ctx.buffers = &buffers;
+    ServerBatchReport report = process_batch_inner(batches[k], &ctx);
     std::swap(front, next_front);
     overlap_batches.add();
-    surface_ready(false);
 
-    // Drain points: the checkpoint (and the registry-image rewrite the
-    // serial schedule does per commit) runs only once every queued marker
-    // has landed — compaction truncates the whole WAL, and the image's
-    // aggregate anchor must never outrun the durable markers.
-    if (durable_on && checkpoint_due()) {
-      durability_.drain();
-      surface_ready(true);
-      checkpoint();
+    // The batch has committed: its sinks first, then its report — the
+    // serial per-batch order.
+    for (std::size_t i = 0; i < buffers.size() && i < states_.size(); ++i) {
+      const MatchSink& sink = states_[i]->sink;
+      if (!sink) continue;
+      for (const PipelineCtx::SinkRecord& r : buffers[i]) {
+        sink(*r.plan, std::span<const VertexId>(r.bindings), r.sign);
+      }
     }
+    if (on_batch) on_batch(std::move(report));
   }
-
-  // Stream tail: everything durable, every report surfaced, image fresh.
-  if (durable_on) {
-    durability_.drain();
-    write_registry_image();
-  }
-  surface_ready(true);
 }
 
 std::uint64_t MultiQueryEngine::count_current_embeddings(QueryId id) {

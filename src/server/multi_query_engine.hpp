@@ -183,16 +183,14 @@ class MultiQueryEngine {
   // Pipelined batch loop (docs/MULTI_QUERY.md, "Pipelined schedule"): batch
   // t+1's CPU-side front half — corruption screening and the frequency
   // estimation — is staged on the match pool while batch t's fan-out is in
-  // flight, the DCSR pack runs once that fan-out has returned, and commit
-  // markers are made durable by the group-commit committer thread
-  // (DurabilityOptions::group_commit_batches markers per fsync). Reports
-  // are surfaced through `on_batch` — and sink callbacks are flushed — only
-  // after their commit durably lands, so a crash never exposes results of a
-  // batch recovery would re-expose. Counts are bit-identical to calling
-  // process_batch per batch (cache content never changes match counts).
-  // On error the failing batch rolls back exactly as in process_batch;
-  // reports of earlier batches whose commit already landed are still
-  // surfaced, the rest are dropped (re-derivable from the WAL).
+  // flight, and the DCSR pack runs once that fan-out has returned. Each
+  // batch commits exactly as in process_batch; right after, its buffered
+  // sink callbacks are flushed and its report is surfaced through
+  // `on_batch`, so a crash never exposes results of a batch recovery would
+  // re-expose. Counts are bit-identical to calling process_batch per batch
+  // (cache content never changes match counts). On error the failing batch
+  // rolls back exactly as in process_batch, and every earlier batch has
+  // already been surfaced.
   void process_stream(const std::vector<EdgeBatch>& batches,
                       const BatchReportSink& on_batch = {});
 
@@ -339,9 +337,8 @@ class MultiQueryEngine {
                              QueryCounters* delta, const MatchSink* sink);
 
   // The whole batch body shared by process_batch (ctx == nullptr) and
-  // process_stream (ctx set: staged ingestion/estimate consumed, the commit
-  // unit routed through the group committer, sinks buffered, and the
-  // durable tail deferred to the stream's drain points).
+  // process_stream (ctx set: staged ingestion/estimate consumed, the next
+  // batch's front half staged, and sinks buffered).
   ServerBatchReport process_batch_inner(const EdgeBatch& batch,
                                         PipelineCtx* ctx);
 

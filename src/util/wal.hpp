@@ -75,9 +75,9 @@ struct Record {
 std::string encode_record(RecordType type, std::uint64_t seq,
                           std::string_view payload);
 
-// Thread-safe: append/sync/truncate serialize on an internal mutex, so a
-// group-commit committer thread can fsync earlier records while the batch
-// thread appends the next ones (docs/ROBUSTNESS.md, "Group commit").
+// Thread-safe: append/sync/truncate serialize on an internal mutex. Every
+// engine writes its log from one thread today, so the mutex only guards
+// against a future second writer.
 class Writer {
  public:
   // Opens `path` for appending, creating it if needed. `sync` off skips the

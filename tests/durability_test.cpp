@@ -612,18 +612,15 @@ TEST(Durability, PartialWalAppendIsCutBeforeTheRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// Group commit (multi-query process_stream; docs/ROBUSTNESS.md, "Group
-// commit"): batch records are appended by the engine thread, commit markers
-// by a dedicated committer thread coalescing up to N batches per fsync. A
-// kill at ANY WAL write/fsync probe — the engine thread's appends, the
-// committer's marker writes, the group fsync, the snapshot compactions —
-// must recover bit-identical to an uninterrupted run, at every coalescing
-// window. Crashed commits are re-exposed: their batch records lack a
-// durable marker, so the client re-submits from batches_committed.
+// Durable streams (multi-query process_stream): each batch commits as in
+// process_batch, and its results surface right after its commit. A kill at
+// ANY WAL write/fsync probe — the batch records, the commit markers, the
+// snapshot compactions — must recover bit-identical to an uninterrupted
+// run. A crashed commit is re-exposed: its batch record lacks a durable
+// marker, so the client re-submits from batches_committed.
 
-server::MultiQueryOptions group_commit_options(const std::string& dir,
-                                               FaultInjector* inj,
-                                               std::uint64_t window) {
+server::MultiQueryOptions stream_options(const std::string& dir,
+                                         FaultInjector* inj) {
   server::MultiQueryOptions opt;
   opt.kind = EngineKind::kCpu;
   opt.workers = 2;
@@ -634,19 +631,38 @@ server::MultiQueryOptions group_commit_options(const std::string& dir,
   opt.durability.snapshot_interval = 3;
   opt.durability.recover_on_start = true;
   opt.durability.fsync = false;  // protocol + fault sites identical
-  opt.durability.group_commit_batches = window;
   opt.fault_injector = inj;
   return opt;
 }
 
-TEST(Durability, GroupCommitCrashMatrixRecoversAtEveryProbe) {
+// A serial process_batch run of the first kBatches batches, no durability,
+// over a triangle and a 4-path: the counters and edge list a durable stream
+// of the same batches must end with.
+durable::DurableCounters stream_reference(const StreamFixture& fx,
+                                          std::vector<Edge>* edges) {
+  server::MultiQueryEngine ref(fx.stream.initial, stream_options("", nullptr));
+  ref.register_query(make_triangle());
+  ref.register_query(make_path(4));
+  durable::DurableCounters want;
+  for (std::size_t k = 0; k < kBatches; ++k) {
+    const server::ServerBatchReport r =
+        ref.process_batch(fx.stream.batches[k]);
+    want.batches_committed += 1;
+    want.cum_signed += r.shared.stats.signed_embeddings;
+    want.cum_positive += r.shared.stats.positive;
+    want.cum_negative += r.shared.stats.negative;
+  }
+  *edges = ref.graph().to_csr().edge_list();
+  return want;
+}
+
+TEST(Durability, StreamCrashMatrixRecoversAtEveryProbe) {
   StreamFixture fx(29);
   ASSERT_GE(fx.stream.batches.size(), kBatches);
 
   // Synchronous (serial process_batch) baseline, no durability: what every
   // crashed-and-recovered stream must reproduce exactly.
-  server::MultiQueryEngine ref(fx.stream.initial,
-                               group_commit_options("", nullptr, 1));
+  server::MultiQueryEngine ref(fx.stream.initial, stream_options("", nullptr));
   ref.register_query(make_triangle());
   ref.register_query(make_path(4));
   durable::DurableCounters want;
@@ -662,66 +678,93 @@ TEST(Durability, GroupCommitCrashMatrixRecoversAtEveryProbe) {
 
   int cases = 0;
   int total_crashes = 0;
-  for (const std::uint64_t window : {1U, 4U, 8U}) {
-    for (std::uint64_t nth = 1;; ++nth) {
-      const std::string dir =
-          fresh_dir("gc_" + std::to_string(window) + "_" +
-                    std::to_string(nth));
-      FaultInjector inj(33);
-      inj.arm(fault_site::kCrashAt, {0.0, nth, 11});
-      int crashes = 0;
-      durable::DurableCounters got;
-      std::vector<Edge> got_edges;
-      bool finished = false;
-      for (int lives = 0; lives < 12 && !finished; ++lives) {
-        try {
-          server::MultiQueryEngine engine(
-              fx.stream.initial, group_commit_options(dir, &inj, window));
-          // A crash can land between the two registrations; top the
-          // recovered registry back up to the full set.
-          if (engine.registry().empty()) {
-            engine.register_query(make_triangle());
-          }
-          if (engine.registry().size() < 2) {
-            engine.register_query(make_path(4));
-          }
-          // Exactly-once resumption: re-submit everything not durably
-          // committed (enqueued-but-not-fsynced commits are re-exposed).
-          const std::size_t from = engine.cumulative().batches_committed;
-          engine.process_stream(
-              {fx.stream.batches.begin() + static_cast<std::ptrdiff_t>(from),
-               fx.stream.batches.begin() + kBatches});
-          got = engine.cumulative();
-          got_edges = engine.graph().to_csr().edge_list();
-          finished = true;
-        } catch (const CrashError&) {
-          ++crashes;  // killed mid-write (either thread); restart + recover
+  for (std::uint64_t nth = 1;; ++nth) {
+    const std::string dir = fresh_dir("stream_" + std::to_string(nth));
+    FaultInjector inj(33);
+    inj.arm(fault_site::kCrashAt, {0.0, nth, 11});
+    int crashes = 0;
+    durable::DurableCounters got;
+    std::vector<Edge> got_edges;
+    bool finished = false;
+    for (int lives = 0; lives < 12 && !finished; ++lives) {
+      try {
+        server::MultiQueryEngine engine(fx.stream.initial,
+                                        stream_options(dir, &inj));
+        // A crash can land between the two registrations; top the
+        // recovered registry back up to the full set.
+        if (engine.registry().empty()) {
+          engine.register_query(make_triangle());
         }
+        if (engine.registry().size() < 2) {
+          engine.register_query(make_path(4));
+        }
+        // Exactly-once resumption: re-submit everything not durably
+        // committed.
+        const std::size_t from = engine.cumulative().batches_committed;
+        engine.process_stream(
+            {fx.stream.batches.begin() + static_cast<std::ptrdiff_t>(from),
+             fx.stream.batches.begin() + kBatches});
+        got = engine.cumulative();
+        got_edges = engine.graph().to_csr().edge_list();
+        finished = true;
+      } catch (const CrashError&) {
+        ++crashes;  // killed mid-write; restart + recover
       }
-      ASSERT_TRUE(finished)
-          << "crash storm: window=" << window << " nth=" << nth;
-      ASSERT_EQ(got.batches_committed, want.batches_committed)
-          << "window=" << window << " nth=" << nth;
-      ASSERT_EQ(got.cum_signed, want.cum_signed)
-          << "window=" << window << " nth=" << nth;
-      ASSERT_EQ(got.cum_positive, want.cum_positive)
-          << "window=" << window << " nth=" << nth;
-      ASSERT_EQ(got.cum_negative, want.cum_negative)
-          << "window=" << window << " nth=" << nth;
-      ASSERT_EQ(got_edges, want_edges)
-          << "window=" << window << " nth=" << nth;
-      ++cases;
-      total_crashes += crashes;
-      // nth beyond the probe count of a full run: the sweep is complete
-      // for this window.
-      if (crashes == 0) break;
-      ASSERT_LT(nth, 300U) << "sweep did not terminate, window=" << window;
     }
+    ASSERT_TRUE(finished) << "crash storm: nth=" << nth;
+    ASSERT_EQ(got.batches_committed, want.batches_committed) << "nth=" << nth;
+    ASSERT_EQ(got.cum_signed, want.cum_signed) << "nth=" << nth;
+    ASSERT_EQ(got.cum_positive, want.cum_positive) << "nth=" << nth;
+    ASSERT_EQ(got.cum_negative, want.cum_negative) << "nth=" << nth;
+    ASSERT_EQ(got_edges, want_edges) << "nth=" << nth;
+    ++cases;
+    total_crashes += crashes;
+    // nth beyond the probe count of a full run: the sweep is complete.
+    if (crashes == 0) break;
+    ASSERT_LT(nth, 300U) << "sweep did not terminate";
   }
-  // The matrix must actually have killed the committer somewhere at every
-  // window, or it tested nothing.
+  // The matrix must actually have killed the stream somewhere, or it
+  // tested nothing.
   EXPECT_GT(cases, 3 * static_cast<int>(kBatches));
   EXPECT_GT(total_crashes, 0);
+}
+
+// A stream whose commit fsync fails for good fails like process_batch: the
+// batch rolls back, its marker is cut from the log, and every batch that
+// committed before it has been surfaced. The same engine then takes the
+// re-submitted remainder, and recovery sees each batch once.
+TEST(Durability, FailedStreamCommitFsyncKeepsTheEngineServing) {
+  StreamFixture fx(34);
+  ASSERT_GE(fx.stream.batches.size(), kBatches);
+  std::vector<Edge> want_edges;
+  const durable::DurableCounters want = stream_reference(fx, &want_edges);
+
+  const std::string dir = fresh_dir("streamfsync");
+  FaultInjector inj(45);
+  // Each batch fsyncs its record, then its commit: hit 8 is the commit of
+  // batch 3, the last batch of the first stream.
+  inj.arm(fault_site::kWalFsync, {0.0, 8});
+  server::MultiQueryOptions opt = stream_options(dir, &inj);
+  opt.durability.max_write_attempts = 1;
+  const auto first = fx.stream.batches.begin();
+  {
+    server::MultiQueryEngine engine(fx.stream.initial, opt);
+    engine.register_query(make_triangle());
+    engine.register_query(make_path(4));
+    std::size_t surfaced = 0;
+    const auto count = [&](server::ServerBatchReport&&) { ++surfaced; };
+    EXPECT_THROW(engine.process_stream({first, first + 4}, count), Error);
+    EXPECT_EQ(engine.cumulative().batches_committed, 3U);
+    EXPECT_EQ(surfaced, 3U);
+    const auto from =
+        static_cast<std::ptrdiff_t>(engine.cumulative().batches_committed);
+    engine.process_stream({first + from, first + kBatches}, count);
+    EXPECT_EQ(surfaced, kBatches);
+  }
+  opt.fault_injector = nullptr;
+  const server::MultiQueryEngine back(fx.stream.initial, opt);
+  expect_counts(back.cumulative(), want);
+  EXPECT_EQ(back.graph().to_csr().edge_list(), want_edges);
 }
 
 TEST(Durability, RecoverOnStartOffDiscardsStaleState) {
@@ -765,10 +808,8 @@ DurabilityOptions pin_durability(const std::string& dir) {
   return d;
 }
 
-// One line per record of <dir>/gcsm.wal, in log order or, for the group
-// commit schedule, by (seq, type): there the committer appends markers while
-// the engine thread appends batch records, so their interleaving depends on
-// thread timing.
+// One line per record of <dir>/gcsm.wal, in log order or, when `by_seq`,
+// sorted by (seq, type).
 std::string wal_pins(const std::string& label, const std::string& dir,
                      bool by_seq) {
   std::vector<wal::Record> records = wal::read_all(dir + "/gcsm.wal").records;
@@ -866,7 +907,6 @@ TEST(Durability, EveryEngineWritesThePinnedWalRecords) {
   {
     const std::string dir = fresh_dir("pin_mqe_stream");
     server::MultiQueryOptions opt = pin_multi_options(dir);
-    opt.durability.group_commit_batches = 4;
     server::MultiQueryEngine engine(fx.stream.initial, opt);
     engine.register_query(make_triangle());
     engine.register_query(make_path(4));

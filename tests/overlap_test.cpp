@@ -3,8 +3,8 @@
 //
 // The contract under test: process_stream — which stages batch t+1's CPU
 // front half (sanitize + estimate) on the match pool during batch t's
-// fan-out, packs once that fan-out has returned, and defers report/sink
-// surfacing behind the group commit — produces per-query counts
+// fan-out, packs once that fan-out has returned, and surfaces reports and
+// sinks only after each batch's commit — produces per-query counts
 // BIT-IDENTICAL to the serial process_batch loop, surfaces its results in
 // batch order with sinks flushed before each report, and keeps every
 // internal invariant under concurrent fault injection (the pipeline-tsan
@@ -341,7 +341,6 @@ TEST(Overlap, DurableStreamSurfacesCommittedReportsAndRecovers) {
   opt.durability.wal_dir = dir;
   opt.durability.snapshot_interval = 3;
   opt.durability.fsync = false;
-  opt.durability.group_commit_batches = 4;
   {
     MultiQueryEngine piped(f.stream.initial, opt);
     piped.register_query(make_triangle());
