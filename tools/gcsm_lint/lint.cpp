@@ -102,8 +102,6 @@ const std::set<std::string> kCommitFiles = {
 };
 const std::set<std::string> kCommitCalls = {
     "commit_batch",
-    "enqueue_commit",
-    "log_server_state",
 };
 
 // Exception types `throw` may name: the gcsm::Error taxonomy (callers
