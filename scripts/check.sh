@@ -86,8 +86,8 @@ run_preset() {
     if ! run ctest --preset breaker-asan -j "${JOBS}"; then
       failures+=("breaker-asan: tests")
     fi
-    # Pipelined batch schedule (process_stream staging, group-commit
-    # surfacing) under asan/ubsan.
+    # Pipelined batch schedule (process_stream staging, surfacing after
+    # each commit, the durable stream) under asan/ubsan.
     if ! run ctest --preset pipeline-asan -j "${JOBS}"; then
       failures+=("pipeline-asan: tests")
     fi
@@ -115,8 +115,8 @@ run_preset() {
       failures+=("breaker-tsan: tests")
     fi
     # Pipelined schedule overlap stress (200 batches, 8 queries, faults at
-    # p=0.05): the staged front half races the match fan-out on one pool
-    # while the group-commit committer drains — tsan's richest target.
+    # p=0.05, no durability): the staged front half races the match
+    # fan-out on one pool — tsan's richest target.
     if ! run ctest --preset pipeline-tsan -j "${JOBS}"; then
       failures+=("pipeline-tsan: tests")
     fi
