@@ -635,27 +635,6 @@ server::MultiQueryOptions stream_options(const std::string& dir,
   return opt;
 }
 
-// A serial process_batch run of the first kBatches batches, no durability,
-// over a triangle and a 4-path: the counters and edge list a durable stream
-// of the same batches must end with.
-durable::DurableCounters stream_reference(const StreamFixture& fx,
-                                          std::vector<Edge>* edges) {
-  server::MultiQueryEngine ref(fx.stream.initial, stream_options("", nullptr));
-  ref.register_query(make_triangle());
-  ref.register_query(make_path(4));
-  durable::DurableCounters want;
-  for (std::size_t k = 0; k < kBatches; ++k) {
-    const server::ServerBatchReport r =
-        ref.process_batch(fx.stream.batches[k]);
-    want.batches_committed += 1;
-    want.cum_signed += r.shared.stats.signed_embeddings;
-    want.cum_positive += r.shared.stats.positive;
-    want.cum_negative += r.shared.stats.negative;
-  }
-  *edges = ref.graph().to_csr().edge_list();
-  return want;
-}
-
 TEST(Durability, StreamCrashMatrixRecoversAtEveryProbe) {
   StreamFixture fx(29);
   ASSERT_GE(fx.stream.batches.size(), kBatches);
@@ -736,8 +715,10 @@ TEST(Durability, StreamCrashMatrixRecoversAtEveryProbe) {
 TEST(Durability, FailedStreamCommitFsyncKeepsTheEngineServing) {
   StreamFixture fx(34);
   ASSERT_GE(fx.stream.batches.size(), kBatches);
+  const QueryGraph query = make_triangle();
   std::vector<Edge> want_edges;
-  const durable::DurableCounters want = stream_reference(fx, &want_edges);
+  const durable::DurableCounters want =
+      baseline_counters(fx, query, kBatches, &want_edges);
 
   const std::string dir = fresh_dir("streamfsync");
   FaultInjector inj(45);
@@ -749,8 +730,7 @@ TEST(Durability, FailedStreamCommitFsyncKeepsTheEngineServing) {
   const auto first = fx.stream.batches.begin();
   {
     server::MultiQueryEngine engine(fx.stream.initial, opt);
-    engine.register_query(make_triangle());
-    engine.register_query(make_path(4));
+    engine.register_query(query);
     std::size_t surfaced = 0;
     const auto count = [&](server::ServerBatchReport&&) { ++surfaced; };
     EXPECT_THROW(engine.process_stream({first, first + 4}, count), Error);
