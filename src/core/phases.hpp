@@ -128,7 +128,7 @@ struct BatchReport {
   double backoff_ms = 0.0;              // total backoff slept for this batch
   std::uint64_t faults_observed = 0;    // injector fires during this batch
   QuarantineReport quarantine;          // malformed records screened out
-  std::uint64_t wal_seq = 0;            // WAL sequence (0 = not durably logged)
+  std::uint64_t wal_seq = 0;            // WAL seq it committed under (0 = none)
 
   double cache_hit_rate() const {
     const auto total = traffic.cache_hits + traffic.cache_misses;

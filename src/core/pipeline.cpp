@@ -115,15 +115,6 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
       },
       report.quarantine);
 
-  // Durable logging (step 1 of the commit protocol): the sanitized batch
-  // reaches stable storage before the graph is touched, so recovery replays
-  // exactly the bytes that ran. Recovery replay itself is not re-logged.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(use);
-    report.wal_seq = wal_seq;
-  }
-
   // The transaction: everything the batch can touch, restorable even from a
   // half-applied state.
   const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
@@ -149,15 +140,17 @@ BatchReport Pipeline::process_batch(const EdgeBatch& batch,
     report.faults_observed = faults_->fired_count() - faults_before;
   }
 
-  // Commit (step 3): the cumulative totals including this batch go into the
-  // commit marker; only after it is durable does the in-memory cumulative
-  // state advance.
-  commit_transaction(durability_, cumulative_, report.stats, wal_seq,
-                     rollback);
+  // Commit (step 2): the sanitized batch and the cumulative totals
+  // including it go into one commit unit, so recovery replays exactly the
+  // bytes that ran; only after it is durable does the in-memory cumulative
+  // state advance. Recovery replay itself is not re-logged.
+  const bool durable = options_.durability.enabled() && !replaying_;
+  report.wal_seq = commit_transaction(durability_, cumulative_, report.stats,
+                                      durable ? &use : nullptr, rollback);
   metrics_.record_batch(report);
-  // Snapshot + WAL compaction (step 4) runs after the commit, so a crash
+  // Snapshot + WAL compaction (step 3) runs after the commit, so a crash
   // inside it can only lose the snapshot, never the batch.
-  if (wal_seq != 0) durability_.maybe_snapshot(graph_, cumulative_);
+  if (durable) durability_.maybe_snapshot(graph_, cumulative_);
   return report;
 }
 

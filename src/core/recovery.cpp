@@ -101,26 +101,30 @@ void run_transaction(RetryLadder& ladder, EngineKind kind, BatchReport& report,
   }
 }
 
-void commit_transaction(DurabilityManager& durability,
-                        durable::DurableCounters& cumulative,
-                        const MatchStats& delta, std::uint64_t wal_seq,
-                        const std::function<void()>& rollback,
-                        std::vector<std::string> server_states) {
+std::uint64_t commit_transaction(DurabilityManager& durability,
+                                 durable::DurableCounters& cumulative,
+                                 const MatchStats& delta,
+                                 const EdgeBatch* logged,
+                                 const std::function<void()>& rollback,
+                                 std::vector<std::string> server_states) {
   durable::DurableCounters next = cumulative;
   next.batches_committed += 1;
   next.cum_signed += delta.signed_embeddings;
   next.cum_positive += delta.positive;
   next.cum_negative += delta.negative;
-  if (wal_seq != 0) {
-    next.last_seq = wal_seq;
+  std::uint64_t seq = 0;
+  if (logged != nullptr) {
     try {
-      durability.commit_batch({wal_seq, next, std::move(server_states)});
+      seq = durability.commit_batch(*logged,
+                                    {next, std::move(server_states)});
     } catch (...) {
       rollback();
       throw;
     }
+    next.last_seq = seq;
   }
   cumulative = next;
+  return seq;
 }
 
 EdgeBatch ingest_batch(EdgeBatch batch, FaultInjector* faults,

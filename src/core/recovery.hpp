@@ -1,6 +1,6 @@
 // The transactional recovery ladder every batch engine runs
 // (docs/ROBUSTNESS.md, "Transactional batches and the recovery ladder"),
-// and the one step-3 commit that ends each transaction ("Commit protocol").
+// and the one commit that ends each transaction ("Commit protocol").
 // Pipeline, ShardedMatchEngine and MultiQueryEngine keep only what differs:
 // their attempt body, their rollback, and what escalation means (a CPU
 // re-run, or dropping the cache for the multi-query shared phases). The
@@ -98,19 +98,22 @@ void run_transaction(RetryLadder& ladder, EngineKind kind, BatchReport& report,
                      const std::function<void()>& rollback,
                      const std::function<bool()>& degrade);
 
-// Step 3 of the commit protocol: advances `cumulative` by one batch whose
-// embeddings changed by `delta`. A batch logged under `wal_seq` (0 = not
-// logged) first makes its commit unit durable — `server_states`, then the
-// marker carrying the advanced counters — through
-// DurabilityManager::commit_batch. When that fails, the batch is rolled
-// back and the failure rethrown with `cumulative` unchanged: memory agrees
-// with disk and the client re-submits. (Sink callbacks already made cannot be
-// retracted — see docs/ROBUSTNESS.md.)
-void commit_transaction(DurabilityManager& durability,
-                        durable::DurableCounters& cumulative,
-                        const MatchStats& delta, std::uint64_t wal_seq,
-                        const std::function<void()>& rollback,
-                        std::vector<std::string> server_states = {});
+// Step 2 of the commit protocol: advances `cumulative` by one batch whose
+// embeddings changed by `delta`, and returns the WAL seq it committed under
+// (0 = not logged). A `logged` batch (the sanitized batch that ran; null
+// during recovery replay or without durability) first makes its commit
+// unit durable — the batch record, `server_states`, then the marker
+// carrying the advanced counters — through DurabilityManager::commit_batch.
+// When that fails, the batch is rolled back and the failure rethrown with
+// `cumulative` unchanged: memory agrees with disk and the client
+// re-submits. (Sink callbacks already made cannot be retracted — see
+// docs/ROBUSTNESS.md.)
+std::uint64_t commit_transaction(DurabilityManager& durability,
+                                 durable::DurableCounters& cumulative,
+                                 const MatchStats& delta,
+                                 const EdgeBatch* logged,
+                                 const std::function<void()>& rollback,
+                                 std::vector<std::string> server_states = {});
 
 // Screens a batch against the engine's live graph, quarantining malformed
 // records (sanitize_batch, or the sharded engine's owner-answered twin).

@@ -44,9 +44,7 @@ struct MultiQueryEngine::PipelineCtx {
 
   // The CPU front half of one batch, staged on the match pool while the
   // previous batch's fan-out is in flight: corruption screening and the
-  // shared frequency estimation. The WAL append stays on the engine thread
-  // so the previous batch's snapshot compaction can never truncate a staged
-  // batch record.
+  // shared frequency estimation.
   struct Front {
     bool valid = false;
     EdgeBatch batch;              // corrupted + sanitized next batch
@@ -787,17 +785,6 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     }
   }
 
-  // Durable logging: ONE WAL record per batch regardless of query count.
-  // Deliberately NOT staged on the pool: the append stays on the engine
-  // thread, after the previous batch's snapshot could have compacted the
-  // WAL — a staged append could be truncated away by that compaction while
-  // its commit marker survives.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled() && !replaying_) {
-    wal_seq = durability_.begin_batch(use);
-    shared.wal_seq = wal_seq;
-  }
-
   const DynamicGraph::Snapshot snap = graph_.snapshot_for(use);
   auto rollback = [&] {
     graph_.restore(snap);
@@ -993,9 +980,10 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
   // aggregate as of the PREVIOUS batch (a re-join's folds in the catch-up
   // correction replay cannot recompute). The marker never lands without
   // them: one fsync makes the unit durable, or the batch fails.
+  const bool durable = options_.durability.enabled() && !replaying_;
   std::uint64_t pending_revision = registry_.health_revision();
   std::vector<std::string> transitions;
-  if (wal_seq != 0 && (!rejoins.empty() || !tripped_idx.empty())) {
+  if (durable && (!rejoins.empty() || !tripped_idx.empty())) {
     std::map<QueryId, QueryHealth> working;
     for (const RegisteredQuery& e : registry_.entries()) {
       working.emplace(e.id, e.health);
@@ -1026,23 +1014,25 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     }
   }
 
-  // Commit ONE marker carrying the aggregate counters across queries —
-  // quarantined tenants contribute nothing, re-joining ones contribute
-  // their batch delta plus the folded catch-up correction, so the
-  // aggregate stays the sum of what every query durably observed.
+  // Commit ONE unit, ONE batch record regardless of query count and ONE
+  // marker carrying the aggregate counters across queries — quarantined
+  // tenants contribute nothing, re-joining ones contribute their batch
+  // delta plus the folded catch-up correction, so the aggregate stays the
+  // sum of what every query durably observed.
   MatchStats committed = shared.stats;
   committed += MatchStats{total_missed.signed_embeddings,
                           total_missed.positive, total_missed.negative, 0};
-  commit_transaction(durability_, cumulative_, committed, wal_seq, rollback,
-                     std::move(transitions));
+  shared.wal_seq =
+      commit_transaction(durability_, cumulative_, committed,
+                         durable ? &use : nullptr, rollback,
+                         std::move(transitions));
   metrics_.record_batch(shared);
 
   // The batch is committed: apply the staged breaker effects. Position
   // bookkeeping uses the WAL seq (replay position under recovery, batch
   // ordinal without durability).
   const std::uint64_t pos_seq =
-      replaying_ ? replay_seq_
-                 : (wal_seq != 0 ? wal_seq : cumulative_.batches_committed);
+      replaying_ ? replay_seq_ : current_position();
   registry_.set_health_revision(pending_revision);
   for (std::size_t i = 0; i < n; ++i) {
     if (roles[i] != MatchRole::kMatch || outcomes[i].error != nullptr) {
@@ -1131,7 +1121,7 @@ ServerBatchReport MultiQueryEngine::process_batch_inner(const EdgeBatch& batch,
     refresh_breaker_gauges();
   }
 
-  if (wal_seq != 0) {
+  if (durable) {
     // Durable tail: the registry image (per-query health + counters + the
     // aggregate anchor) is rewritten after EVERY commit, and the snapshot
     // is taken when the interval is due.

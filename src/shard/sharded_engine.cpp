@@ -225,14 +225,6 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
       },
       out.shared.quarantine);
 
-  // One WAL record for the GLOBAL sanitized batch; the per-shard split is
-  // deterministic, so recovery can re-derive it.
-  std::uint64_t wal_seq = 0;
-  if (options_.durability.enabled()) {
-    wal_seq = durability_.begin_batch(use);
-    out.shared.wal_seq = wal_seq;
-  }
-
   const std::vector<EdgeBatch> subs = sg_.split_batch(use);
 
   // The transaction: every shard's touchable state, restorable together.
@@ -277,10 +269,13 @@ ShardedBatchReport ShardedMatchEngine::process_batch(const EdgeBatch& batch) {
     out.shared.faults_observed = faults_->fired_count() - faults_before;
   }
 
-  // Commit: ONE marker per batch carrying the aggregated per-shard
-  // counters; the in-memory cumulative state advances only after it lands.
-  commit_transaction(durability_, cumulative_, out.shared.stats, wal_seq,
-                     rollback);
+  // Commit: ONE unit per batch, the GLOBAL sanitized batch (the per-shard
+  // split is deterministic, so recovery can re-derive it) and a marker
+  // carrying the aggregated per-shard counters; the in-memory cumulative
+  // state advances only after it lands.
+  out.shared.wal_seq = commit_transaction(
+      durability_, cumulative_, out.shared.stats,
+      options_.durability.enabled() ? &use : nullptr, rollback);
 
   sg_.note_applied(use);
   out.cut_edges = sg_.cut_edges();

@@ -220,9 +220,14 @@ TEST(Breaker, DisabledBreakerKeepsUnitBatchSemantics) {
 // probe passes and WAL catch-up replay brings the query's cumulative
 // counters bit-identical to a fault-free run — including sink delivery.
 
-TEST(Breaker, ExactCatchUpIsBitIdenticalToFaultFreeRun) {
+// Batch 0 trips the diamond query (the batch commits), batches 1-2 tick its
+// cooldown, the poison is cleared before batch 3, whose probe passes and
+// re-admits the query via exact catch-up. With `roll_back_batch_1`, the
+// first submission of batch 1 fails its graph apply on every rung and rolls
+// back; the client re-submits it.
+void check_exact_catch_up(const std::string& tag, bool roll_back_batch_1) {
   const StreamFixture f(24);
-  const std::string dir = fresh_dir("catchup");
+  const std::string dir = fresh_dir(tag);
   FaultInjector inj(0xCA7C);
   MultiQueryOptions opt = breaker_options();
   opt.fault_injector = &inj;
@@ -265,10 +270,14 @@ TEST(Breaker, ExactCatchUpIsBitIdenticalToFaultFreeRun) {
   const std::uint64_t replayed_before =
       counter_value("server.catchup.batches_replayed");
 
-  // Batch 0 trips (commits), batches 1-2 tick the cooldown, the poison is
-  // cleared before batch 3, whose probe passes and re-admits via catch-up.
   for (std::size_t k = 0; k < 6; ++k) {
     if (k == 3) inj.disarm(fault_site::kMatchQuery);
+    if (k == 1 && roll_back_batch_1) {
+      inj.arm(fault_site::kGraphApply, {1.0, 0});
+      EXPECT_THROW(engine.process_batch(f.stream.batches[k]), Error);
+      inj.disarm(fault_site::kGraphApply);
+      EXPECT_EQ(engine.cumulative().batches_committed, 1u);
+    }
     const ServerBatchReport out = engine.process_batch(f.stream.batches[k]);
     ref.process_batch(f.stream.batches[k]);
     for (const auto& q : out.queries) {
@@ -309,8 +318,7 @@ TEST(Breaker, ExactCatchUpIsBitIdenticalToFaultFreeRun) {
   EXPECT_EQ(sink_signed, ref_signed);
   EXPECT_EQ(sink_calls, ref_calls);
   EXPECT_EQ(counter_value("server.breaker.rejoins") - rejoins_before, 1u);
-  // Batches 1-4 were missed (the trip excluded batch 0's seq 1... wait:
-  // seqs 1-4 are batches 0-3; the query re-matched batch 3 live, so the
+  // Seqs 1-4 are batches 0-3; the query re-matched batch 3 live, so the
   // replayed debt is seqs 1-3.
   EXPECT_EQ(counter_value("server.catchup.batches_replayed") -
                 replayed_before,
@@ -326,6 +334,17 @@ TEST(Breaker, ExactCatchUpIsBitIdenticalToFaultFreeRun) {
   EXPECT_EQ(recovered.query_health(poison).counters,
             engine.query_health(poison).counters);
   EXPECT_EQ(recovered.query_health(poison).state, HealthState::kHealthy);
+}
+
+TEST(Breaker, ExactCatchUpIsBitIdenticalToFaultFreeRun) {
+  check_exact_catch_up("catchup", false);
+}
+
+// A batch that rolls back inside the debt window uses up no WAL seq, so the
+// committed stream the catch-up replays has no hole: the query still
+// re-joins exactly, not through a re-baseline.
+TEST(Breaker, RolledBackBatchDuringQuarantineKeepsExactCatchUp) {
+  check_exact_catch_up("catchup_rollback", true);
 }
 
 // Debt past the window overflows: re-join falls back to a full static

@@ -129,7 +129,7 @@ TEST(Lint, FlagsCacheOrderCopy) {
 }
 
 TEST(Lint, FlagsCommitCopy) {
-  // The fixture writes commit units from the one step-3 commit (allowed)
+  // The fixture writes commit units from the one commit step (allowed)
   // and, in server/, makes a member commit_batch call and names a WAL
   // record type (both flagged).
   const auto diags = lint_fixture("commit_copy");

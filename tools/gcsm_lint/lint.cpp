@@ -92,7 +92,7 @@ const std::set<std::string> kCacheOrderCalls = {
 };
 
 // Files allowed to write commit units and to name the WAL: the durability
-// manager, the one step-3 commit (core/recovery.*) and the WAL itself.
+// manager, the one commit step (core/recovery.*) and the WAL itself.
 // Every engine commits a batch through commit_transaction, so a change to
 // the commit path lands once (docs/ROBUSTNESS.md, "Commit protocol").
 const std::set<std::string> kCommitFiles = {
@@ -459,7 +459,7 @@ void check_commit_copies(const FileContext& ctx) {
            name.text +
                " call outside the commit path; commit batches through "
                "commit_transaction (core/recovery.hpp) so every engine "
-               "keeps running the one step 3");
+               "keeps running the one commit step");
     }
   }
 }

@@ -43,8 +43,8 @@
 //                        core/frequency_estimator.*): a second step 2.
 //   commit-copy          a member call to commit_batch, or any wal:: name,
 //                        outside the commit path (core/durability.*,
-//                        core/recovery.*, util/wal.*): a second step 3 or a
-//                        second reader of the WAL record types.
+//                        core/recovery.*, util/wal.*): a second commit step
+//                        or a second reader of the WAL record types.
 //   naked-lock           a bare .lock()/.unlock() member call; mutexes must
 //                        be held through RAII (std::lock_guard,
 //                        std::scoped_lock, std::unique_lock).
