@@ -1,6 +1,17 @@
 #include "util/fault.hpp"
 
 namespace gcsm {
+namespace {
+
+// Sites outside the registry (ad-hoc test names) are armable.
+bool armable(const std::string& site) {
+  for (const fault_site::Info& info : fault_site::kSiteTable) {
+    if (site == info.name) return info.armable;
+  }
+  return true;
+}
+
+}  // namespace
 
 FaultInjector::FaultInjector(std::uint64_t seed) : rng_(seed) {}
 
@@ -38,9 +49,9 @@ bool FaultInjector::enabled() const {
 const FaultSpec* FaultInjector::spec_for(const std::string& site) const {
   const auto it = specs_.find(site);
   if (it != specs_.end()) return &it->second;
-  // crash.at is explicit-arm only: a probabilistic arm_all sweep must never
-  // schedule a (simulated) process death.
-  if (default_spec_.has_value() && site != fault_site::kCrashAt) {
+  // Non-armable sites (crash.at, wal.truncate) are explicit-arm only: a
+  // probabilistic arm_all sweep must never end the engine.
+  if (default_spec_.has_value() && armable(site)) {
     return &*default_spec_;
   }
   return nullptr;

@@ -36,10 +36,12 @@ namespace gcsm {
 // also use ad-hoc names in tests — but src/ call sites must reference these
 // constants, never the raw string (enforced by tools/gcsm_lint).
 //
-// crash.at is special: when it fires, the durable write in progress is torn
-// at FaultSpec::crash_at_byte and a CrashError escapes (the in-process
-// kill -9). It never fires from arm_all's default spec — only an explicit
-// arm() can schedule a crash, so probabilistic fault sweeps stay alive.
+// Two sites end the engine and never fire from arm_all's default spec —
+// only an explicit arm() schedules them, so probabilistic fault sweeps stay
+// alive. When crash.at fires, the durable write in progress is torn at
+// FaultSpec::crash_at_byte and a CrashError escapes (the in-process
+// kill -9); when wal.truncate fires, a WAL cut fails and the writer refuses
+// every later append.
 namespace fault_site {
 #define GCSM_FAULT_SITE(sym, name, armable) \
   inline constexpr const char* k##sym = name;
@@ -59,8 +61,8 @@ inline constexpr Info kSiteTable[] = {
 };
 }  // namespace fault_site
 
-// Every site covered by arm_all (crash.at is deliberately excluded; see
-// above).
+// Every site covered by arm_all (crash.at and wal.truncate are deliberately
+// excluded; see above).
 inline constexpr std::array<const char*, 12> kAllFaultSites = {
     fault_site::kDeviceAlloc,   fault_site::kDeviceDma,
     fault_site::kKernelLaunch,  fault_site::kKernelHang,
@@ -97,7 +99,7 @@ class FaultInjector {
 
   // Arms one site; replaces any previous spec for it.
   void arm(const std::string& site, FaultSpec spec);
-  // Default spec applied to every site without an explicit one.
+  // Default spec applied to every armable site without an explicit one.
   void arm_all(double probability);
   void disarm(const std::string& site);
   void disarm_all();

@@ -19,13 +19,6 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
-// Cuts the file to `size` bytes and, when `sync`, makes the cut durable.
-// False (errno set) when either step fails.
-bool cut_file(int fd, std::uint64_t size, bool sync) {
-  return ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
-         (!sync || ::fsync(fd) == 0);
-}
-
 void write_all(int fd, const char* data, std::size_t len,
                const std::string& path) {
   while (len > 0) {
@@ -84,11 +77,7 @@ void Writer::append(RecordType type, std::uint64_t seq,
   static auto& m_bytes = metrics::Registry::global().counter(metric::kWalBytes);
   const std::string rec = encode_record(type, seq, payload);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (torn_tail_) {
-    throw Error(ErrorCode::kIoOpen, "WAL " + path_ +
-                                        " ends in torn bytes it could not "
-                                        "cut; recover before appending");
-  }
+  if (!refusal_.empty()) throw Error(ErrorCode::kIoOpen, refusal_);
   try {
     if (faults_ != nullptr) {
       if (const auto spec = faults_->fires_spec(fault_site::kWalWrite)) {
@@ -116,14 +105,8 @@ void Writer::append(RecordType type, std::uint64_t seq,
   } catch (const Error&) {
     // The failed write may have left a prefix of the record. Cut the log
     // back to its last whole record, so that a retry appends right after
-    // it; a log that cannot be cut takes no more appends.
-    if (!cut_file(fd_, size_, sync_enabled_)) {
-      torn_tail_ = true;
-      throw Error(ErrorCode::kIoOpen,
-                  "cannot cut WAL " + path_ + " back to " +
-                      std::to_string(size_) +
-                      " bytes after a failed append: " + errno_text());
-    }
+    // it.
+    cut(size_);
     throw;
   }
   bytes_appended_ += rec.size();
@@ -160,12 +143,26 @@ void Writer::sync() {
 
 void Writer::truncate(std::uint64_t size) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (!cut_file(fd_, size, sync_enabled_)) {
-    throw Error(ErrorCode::kWalWrite,
-                "cannot truncate WAL " + path_ + ": " + errno_text());
-  }
+  if (!refusal_.empty()) throw Error(ErrorCode::kIoOpen, refusal_);
+  cut(size);
   size_ = size;
   dirty_ = false;
+}
+
+void Writer::cut(std::uint64_t size) {
+  std::string why;
+  if (faults_ != nullptr && faults_->fires(fault_site::kWalTruncate)) {
+    why = "injected fault";
+  } else if (::ftruncate(fd_, static_cast<off_t>(size)) != 0 ||
+             (sync_enabled_ && ::fsync(fd_) != 0)) {
+    why = errno_text();
+  } else {
+    return;
+  }
+  refusal_ = "cannot cut WAL " + path_ + " back to " + std::to_string(size) +
+             " bytes (" + why +
+             "); it takes no more writes until it is recovered";
+  throw Error(ErrorCode::kIoOpen, refusal_);
 }
 
 ReadResult read_all(const std::string& path) {

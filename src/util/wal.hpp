@@ -22,8 +22,8 @@
 // Fault sites (util/fault.hpp): `wal.write` refuses a record write after
 // FaultSpec::crash_at_byte of its bytes reached the file (none by default;
 // the writer cuts them, so a retry is safe), `wal.fsync` fires before the
-// fsync, and `crash.at` tears the write at FaultSpec::crash_at_byte and
-// throws CrashError.
+// fsync, `wal.truncate` fails a cut of the log, and `crash.at` tears the
+// write at FaultSpec::crash_at_byte and throws CrashError.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,12 @@ class Writer {
   // Appends one record. Probes wal.write (a write that fails part-way:
   // transient Error) and crash.at (torn write + CrashError). Before an Error
   // other than CrashError leaves, the log is cut back to size(), so a retry
-  // never appends after torn bytes. When that cut fails, a non-transient
-  // Error leaves instead, and every later append throws it too.
+  // never appends after torn bytes.
+  //
+  // Every cut, here and in truncate(), is fail-stop: when it fails, the
+  // log's length is unknown, so a non-transient Error leaves instead, and
+  // every later append and truncate throws it too. Recovery
+  // (recover_on_start) repairs the log through a new writer.
   void append(RecordType type, std::uint64_t seq, std::string_view payload);
 
   // Flushes appended records to stable storage. Probes wal.fsync.
@@ -100,7 +104,7 @@ class Writer {
 
   // Truncates the log to `size` bytes and syncs the truncation: 0 when a
   // snapshot compaction dropped the whole prefix, the length before a
-  // failed commit when its records must not replay.
+  // failed commit when its records must not replay. Probes wal.truncate.
   void truncate(std::uint64_t size);
 
   const std::string& path() const { return path_; }
@@ -116,13 +120,18 @@ class Writer {
   }
 
  private:
+  // Cuts the file to `size` bytes and, when syncing, makes the cut durable
+  // (mu_ held). Probes wal.truncate. Fail-stop, see append().
+  void cut(std::uint64_t size);
+
   std::string path_;
   int fd_ = -1;
   bool sync_enabled_;
   bool dirty_ = false;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t size_ = 0;
-  bool torn_tail_ = false;  // a failed append's bytes could not be cut
+  // Why a cut failed; while set, append and truncate throw it.
+  std::string refusal_;
   FaultInjector* faults_;
   mutable std::mutex mu_;  // serializes append/sync/truncate across threads
 };
