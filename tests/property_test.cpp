@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <numeric>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/access_policy.hpp"
 #include "core/cpu_engine.hpp"
@@ -40,6 +42,13 @@ class IncrementalProperty
 
 QueryGraph pattern_for(int id) {
   return id == 0 ? make_triangle() : make_pattern(id);
+}
+
+// gtest would print a case as its raw bytes, padding included, and ctest
+// names each case by that print, so every build got its own names.
+void PrintTo(const IncrementalCase& c, std::ostream* os) {
+  *os << '{' << c.seed << ',' << c.pattern << ',' << c.vertices << ','
+      << c.edges << ',' << c.batch_size << '}';
 }
 
 TEST_P(IncrementalProperty, TelescopesAcrossStream) {
@@ -84,7 +93,13 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{9, 0, 25, 120, 1},   // single-edge CSM
                       IncrementalCase{10, 1, 30, 100, 1},
                       IncrementalCase{11, 0, 50, 350, 64},
-                      IncrementalCase{12, 3, 45, 160, 24}));
+                      IncrementalCase{12, 3, 45, 160, 24}),
+    [](const ::testing::TestParamInfo<IncrementalCase>& info) {
+      const IncrementalCase& c = info.param;
+      return "seed" + std::to_string(c.seed) + "_" +
+             (c.pattern == 0 ? std::string("triangle")
+                             : "Q" + std::to_string(c.pattern));
+    });
 
 // ---------------------------------------------------------------------
 // Property: embeddings / |Aut| is integral — every subgraph is found once

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/binomial.hpp"
@@ -123,6 +126,11 @@ struct BinomialCase {
   double p;
 };
 
+// The fields, not gtest's byte dump, so the ctest names stay short.
+void PrintTo(const BinomialCase& c, std::ostream* os) {
+  *os << '{' << c.n << ',' << c.p << '}';
+}
+
 class BinomialMoments : public ::testing::TestWithParam<BinomialCase> {};
 
 TEST_P(BinomialMoments, MeanAndVarianceMatch) {
@@ -145,7 +153,14 @@ INSTANTIATE_TEST_SUITE_P(
                       BinomialCase{10, 0.9}, BinomialCase{100, 0.02},
                       BinomialCase{100, 0.5}, BinomialCase{1000, 0.3},
                       BinomialCase{100000, 0.001},
-                      BinomialCase{100000, 0.4}));
+                      BinomialCase{100000, 0.4}),
+    [](const ::testing::TestParamInfo<BinomialCase>& info) {
+      std::ostringstream name;
+      name << "n" << info.param.n << "_p" << info.param.p;
+      std::string out = name.str();
+      std::replace(out.begin(), out.end(), '.', '_');
+      return out;
+    });
 
 TEST(Binomial, TinyProbabilityMostlyZero) {
   Rng rng(77);
