@@ -6,14 +6,20 @@
 #   scripts/check.sh asan-ubsan # just one
 #
 # Presets (see CMakePresets.json; all build with GCSM_WERROR=ON):
-#   asan-ubsan — AddressSanitizer + UBSan, invariant checks on
-#   tsan       — ThreadSanitizer
+#   asan-ubsan — AddressSanitizer + UBSan, invariant checks on; the whole
+#                suite, every ctest label included (faults, durability,
+#                multiquery, breaker, pipeline, overload, shard, metrics)
+#   tsan       — ThreadSanitizer; the whole suite
 #   checks     — plain build with GCSM_ENABLE_CHECKS=ON (GCSM_ASSERT hot-path
 #                asserts + batch-boundary validate() in Pipeline); also runs
 #                the gcsm_lint contract linter and the bench --json smoke
 #   tidy       — clang-tidy over src/ (skipped when clang-tidy is not
 #                installed; the .clang-tidy config is still the gate in
 #                environments that have it)
+#
+# Each sanitizer runs the suite once. For a targeted run of one label, use
+# its test preset on the same build, e.g. `ctest --preset durability-asan`
+# or `ctest --preset shard-tsan` (CMakePresets.json lists them all).
 #
 # Opt-in stages (never run by default; name them explicitly):
 #   soak       — scripts/soak.sh: time-capped poison-tenant fault-matrix
@@ -58,80 +64,6 @@ run_preset() {
   fi
   if ! run ctest --preset "${preset}" -j "${JOBS}"; then
     failures+=("${preset}: tests")
-  fi
-  # The fault-injection matrix must hold under the sanitizers: recovery paths
-  # (rollback, retry, CPU fallback) are exactly where leaks and UB hide.
-  if [ "${preset}" = "asan-ubsan" ]; then
-    if ! run ctest --preset faults-asan -j "${JOBS}"; then
-      failures+=("faults-asan: tests")
-    fi
-    # Observability layer (registry concurrency, JSON schemas, regressions)
-    # under the same sanitizers.
-    if ! run ctest --preset metrics-asan -j "${JOBS}"; then
-      failures+=("metrics-asan: tests")
-    fi
-    # Durability layer (WAL torn tails, snapshot round trips, the crash
-    # matrix): every injected-crash recovery path runs with the sanitizers
-    # watching for leaks of half-written state.
-    if ! run ctest --preset durability-asan -j "${JOBS}"; then
-      failures+=("durability-asan: tests")
-    fi
-    # Multi-query serving engine (registry durability, bit-identity vs
-    # independent pipelines, shared-cache arbitration) under asan/ubsan.
-    if ! run ctest --preset multiquery-asan -j "${JOBS}"; then
-      failures+=("multiquery-asan: tests")
-    fi
-    # Tenant isolation (circuit breaker, quarantine, catch-up replay,
-    # kill-during-catch-up crash matrix) under asan/ubsan.
-    if ! run ctest --preset breaker-asan -j "${JOBS}"; then
-      failures+=("breaker-asan: tests")
-    fi
-    # Pipelined batch schedule (process_stream staging, surfacing after
-    # each commit, the durable stream) under asan/ubsan.
-    if ! run ctest --preset pipeline-asan -j "${JOBS}"; then
-      failures+=("pipeline-asan: tests")
-    fi
-    # Overload protection (admission control, bounded ingress queue,
-    # deadline shedding + kShed audit, degradation ladder, traffic
-    # generator) under asan/ubsan.
-    if ! run ctest --preset overload-asan -j "${JOBS}"; then
-      failures+=("overload-asan: tests")
-    fi
-    # Multi-device sharding (partitioner, cut-edge replication, branch
-    # stitching, bit-identity vs the single-device engine with and without
-    # the fault matrix) under asan/ubsan.
-    if ! run ctest --preset shard-asan -j "${JOBS}"; then
-      failures+=("shard-asan: tests")
-    fi
-  fi
-  # The match fan-out across queries is the concurrency hot spot: the
-  # multiquery label (engine suite + ThreadPool stress) is the tsan target,
-  # and the breaker's trip/re-join staging races against the same fan-out.
-  if [ "${preset}" = "tsan" ]; then
-    if ! run ctest --preset multiquery-tsan -j "${JOBS}"; then
-      failures+=("multiquery-tsan: tests")
-    fi
-    if ! run ctest --preset breaker-tsan -j "${JOBS}"; then
-      failures+=("breaker-tsan: tests")
-    fi
-    # Pipelined schedule overlap stress (200 batches, 8 queries, faults at
-    # p=0.05, no durability): the staged front half races the match
-    # fan-out on one pool — tsan's richest target.
-    if ! run ctest --preset pipeline-tsan -j "${JOBS}"; then
-      failures+=("pipeline-tsan: tests")
-    fi
-    # Overload controller wall-clock paths: submit() backpressure parks
-    # producer threads against serve_pending()'s drain — the ParkingLot
-    # handoff and the shed-while-parked wakeups are tsan's target here.
-    if ! run ctest --preset overload-tsan -j "${JOBS}"; then
-      failures+=("overload-tsan: tests")
-    fi
-    # Sharded matching: shard tasks fan out on one pool and hand partials
-    # across per-shard outboxes at superstep barriers — that hand-off is
-    # tsan's target here.
-    if ! run ctest --preset shard-tsan -j "${JOBS}"; then
-      failures+=("shard-tsan: tests")
-    fi
   fi
   # Bench smoke + --json schema gate (docs/OBSERVABILITY.md): a reduced
   # fig08 run must emit a report that the schema checker accepts.
